@@ -10,11 +10,10 @@ worker` subprocesses and runs the same preset as a distributed job:
    lease/execute/upload every cell (also cache-bypassed, so the timing
    comparison is honest), and poll to completion,
 
-Timing fairness: every cell — serial and leased alike — pays the same
-fixed `REPRO_SWEEP_CELL_STALL_S` ingest stall inside `run_cell`, so the
-smoke measures what distribution actually buys (overlapping blocked
-time across workers) independent of how many cores the CI container
-happens to grant; and the distributed clock starts only once both
+Timing fairness: both sides time real compute — every cell simulates
+from scratch (cache bypassed on the serial run and on both workers),
+the serial run shards nothing (`jobs=1`), and each worker runs one
+cell at a time; and the distributed clock starts only once both
 workers are registered, so subprocess interpreter start-up is excluded
 exactly as it is from the (warm, in-process) serial baseline.
 
@@ -23,8 +22,10 @@ exactly as it is from the (warm, in-process) serial baseline.
 4. fetch the `report` artifact and require it byte-identical to the
    serial report document (same canonical encoder, same sha256),
 5. SIGTERM the coordinator and require a clean drain,
-6. write the timing record to `benchmarks/results/PERF_dist.txt` and
-   require the 2-worker run to beat serial by >= 1.5x wall-clock.
+6. write the timing record to `benchmarks/results/PERF_dist.txt` and,
+   on a host with at least 2 cores, require the 2-worker run to beat
+   serial by >= 1.5x wall-clock (on fewer cores two workers cannot
+   overlap compute, so the floor is reported as SKIPPED).
 
 Exit code 0 means the whole distributed path works on this checkout.
 """
@@ -35,6 +36,7 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import signal
 import subprocess
 import sys
@@ -49,15 +51,13 @@ sys.path.insert(0, str(REPO / "src"))
 
 from repro.core.artifacts import artifact_json_bytes  # noqa: E402
 from repro.sweep.presets import preset  # noqa: E402
-from repro.sweep.scheduler import run_sweep  # noqa: E402
-from repro.sweep.spec import expand, spec_fingerprint  # noqa: E402
+from repro.sweep.scheduler import report_document, run_sweep  # noqa: E402
+from repro.sweep.spec import expand  # noqa: E402
+from repro.util.parallel import resolve_jobs  # noqa: E402
 
 PRESET = "seed0-small"
 WORKERS = 2
 MIN_SPEEDUP = 1.5
-# Fixed per-cell ingest stall (seconds), paid identically by the serial
-# baseline and by every leased cell — see the module docstring.
-CELL_STALL_S = 6.0
 RESULT = REPO / "benchmarks" / "results" / "PERF_dist.txt"
 
 
@@ -82,23 +82,12 @@ def serial_baseline(sweep_dir: Path) -> tuple[float, bytes]:
     started = time.perf_counter()
     outcome = run_sweep(spec, jobs=1, cache=False, sweep_dir=sweep_dir)
     elapsed = time.perf_counter() - started
-    document = {
-        "kind": "sweep-report",
-        "preset": PRESET,
-        "sweep_id": outcome.sweep_id,
-        "spec_fingerprint": spec_fingerprint(spec),
-        "n_cells": outcome.report.n_cells,
-        "n_done": len(outcome.report.cells),
-        "stopped": False,
-        "rendered": outcome.report.render(),
-    }
-    return elapsed, artifact_json_bytes(document)
+    return elapsed, artifact_json_bytes(report_document(PRESET, outcome))
 
 
 def main() -> int:
     n_cells = len(expand(preset(PRESET)))
     scratch = Path(tempfile.mkdtemp(prefix="dist-smoke-"))
-    os.environ["REPRO_SWEEP_CELL_STALL_S"] = str(CELL_STALL_S)
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src")
 
@@ -237,29 +226,38 @@ def main() -> int:
         print("dist-smoke: coordinator drained cleanly")
 
         speedup = serial_s / dist_s
+        cores = resolve_jobs(None)
+        gated = cores >= WORKERS
+        verdict = (
+            f"{speedup:.2f}x (floor {MIN_SPEEDUP:.1f}x)"
+            if gated
+            else f"{speedup:.2f}x  SKIPPED ({cores} cores)"
+        )
         lines = [
             "Distributed sweep smoke benchmark (make dist-smoke)",
             "",
             f"preset:            {PRESET} ({n_cells} cells, cache bypassed)",
             f"workers:           {WORKERS} (subprocesses via 'ddoscovery dist worker')",
-            f"per-cell stall:    {CELL_STALL_S:.1f} s (REPRO_SWEEP_CELL_STALL_S,"
-            " paid by serial and leased cells alike)",
-            f"serial wall-clock: {serial_s:.2f} s",
+            f"host cores:        {cores}",
+            f"serial wall-clock: {serial_s:.2f} s (run_sweep, jobs=1)",
             f"dist wall-clock:   {dist_s:.2f} s (workers registered,"
             " submit -> job done)",
-            f"speedup:           {speedup:.2f}x",
+            f"speedup:           {verdict}",
             f"cells per worker:  {json.dumps(counts, sort_keys=True)}",
             f"report sha256:     {digest}",
             "",
-            "Both paths pay the same fixed ingest stall per cell, so the",
-            "measurement is lease-pipeline overlap (the latency two workers",
-            "can hide), which holds on single-core CI hosts where compute",
-            "itself cannot parallelise.  The merged report is byte-identical",
-            f"to the serial run; the acceptance floor is {MIN_SPEEDUP:.1f}x",
-            "at 2 workers.",
+            "Both sides time real compute: every cell simulates from scratch,",
+            "the serial run on one core and each worker one cell at a time.",
+            "The merged report is byte-identical to the serial run.  On hosts",
+            f"with >= {WORKERS} cores two workers must beat serial by"
+            f" {MIN_SPEEDUP:.1f}x; on fewer",
+            "cores they cannot overlap compute and the floor is skipped.",
         ]
         RESULT.write_text("\n".join(lines) + "\n", encoding="utf-8")
         print(f"dist-smoke: wrote {RESULT.relative_to(REPO)}")
+        if not gated:
+            print(f"dist-smoke: OK, speedup floor SKIPPED ({cores} cores)")
+            return 0
         if speedup < MIN_SPEEDUP:
             fail(f"speedup {speedup:.2f}x below the {MIN_SPEEDUP:.1f}x floor")
         print(f"dist-smoke: OK ({speedup:.2f}x)")
@@ -271,6 +269,7 @@ def main() -> int:
         if coordinator.poll() is None:
             os.killpg(coordinator.pid, signal.SIGKILL)
             coordinator.wait()
+        shutil.rmtree(scratch, ignore_errors=True)
 
 
 if __name__ == "__main__":

@@ -501,7 +501,7 @@ ARTIFACTS: Mapping[str, ArtifactSpec] = dict(
             "Figure 7",
             "Exclusive-intersection decomposition of academic target "
             "tuples.",
-            lambda study: study._figure7(),
+            lambda study: study._figure7,
             _upset_payload,
             {
                 "type": "object",

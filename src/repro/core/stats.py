@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import t as _student_t
 
 
 @dataclass(frozen=True)
@@ -48,12 +47,15 @@ def rankdata(values: np.ndarray) -> np.ndarray:
 
 def _t_p_value(r: float, n: int) -> float:
     """Two-sided p-value of a correlation via the t distribution."""
+    # scipy.stats costs about a second to import; only p-values need it.
+    from scipy.stats import t as student_t
+
     if n < 3:
         return 1.0
     if abs(r) >= 1.0:
         return 0.0
     t_statistic = r * math.sqrt((n - 2) / (1.0 - r * r))
-    return float(2.0 * _student_t.sf(abs(t_statistic), df=n - 2))
+    return float(2.0 * student_t.sf(abs(t_statistic), df=n - 2))
 
 
 def pearson(x: np.ndarray, y: np.ndarray) -> Correlation:

@@ -403,6 +403,7 @@ class Study:
                 pearson_normalized=correlation_matrix(normalized, "pearson"),
             )
 
+    @cached_property
     def _figure7(self) -> UpsetResult:
         """UpSet decomposition of academic target tuples (Figure 7)."""
         target_sets = self.academic_target_sets
@@ -421,11 +422,14 @@ class Study:
 
         The forward join uses the paper's ~28% baseline sample; the
         reverse direction is recomputed against a separate ~23% sample,
-        matching the paper's two shared data sets (Section 7.2).
+        matching the paper's two shared data sets (Section 7.2).  Both
+        joins sample the one Netscout baseline built here.
         """
+        baseline = self.observations["Netscout"].target_tuples()
         result = self._federate(
             "Netscout",
             self.config.netscout_baseline_fraction,
+            baseline=baseline,
         )
         if self.config.netscout_reverse_fraction == self.config.netscout_baseline_fraction:
             return result
@@ -433,6 +437,7 @@ class Study:
             "Netscout",
             self.config.netscout_reverse_fraction,
             stream_label="federation/Netscout/reverse",
+            baseline=baseline,
         )
         return FederationResult(
             industry_name=result.industry_name,
@@ -607,14 +612,16 @@ class Study:
         industry_name: str,
         fraction: float,
         stream_label: str | None = None,
+        baseline: set[TargetTuple] | None = None,
     ) -> FederationResult:
-        baseline = self.observations[industry_name].target_tuples()
+        if baseline is None:
+            baseline = self.observations[industry_name].target_tuples()
         rng = self._rng_factory.stream(
             stream_label or f"federation/{industry_name}"
         )
         sampled = subsample_baseline(baseline, fraction, rng)
         target_sets = self.academic_target_sets
-        upset_result = self._figure7()
+        upset_result = self._figure7
         with span("analysis.federation"):
             return federate(
                 target_sets,
@@ -697,7 +704,7 @@ class Study:
             "seed": self.config.seed,
             "trends": trends,
             "ra_dp_crossing": self._figure5().last_crossing_quarter(),
-            "all_four_target_share": self._figure7().seen_by_all().share,
+            "all_four_target_share": self._figure7.seen_by_all().share,
             "top_target_as": top_ases[0].name if top_ases else None,
         }
 

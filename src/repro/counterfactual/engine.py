@@ -150,6 +150,7 @@ def run_whatif(
     k_sigma: float = DEFAULT_K_SIGMA,
     band_floor: float = DEFAULT_BAND_FLOOR,
     log: Log = _silent,
+    executor=None,
 ) -> WhatifOutcome:
     """Run (or resume) a paired study and build its detection report.
 
@@ -160,6 +161,8 @@ def run_whatif(
     resumable.  ``on_progress`` is called after every settled cell with
     an incremental status dict (cells done, executed vs ledger hits,
     and — once any seed has both legs — a running divergence summary).
+    ``executor`` is forwarded to :func:`~repro.sweep.scheduler.run_sweep`
+    (a dist coordinator's finishes the cells by remote leases).
     """
     spec = pairing.spec()
     cells = expand(spec)
@@ -201,6 +204,7 @@ def run_whatif(
             should_stop=should_stop,
             on_cell=on_cell,
             log=log,
+            executor=executor,
         )
         report: DetectionReport | None
         try:
@@ -329,26 +333,6 @@ def build_detection_report(
             and set(baseline) == set(counterfactual) == set(pairing.seeds),
             verdicts=verdicts,
         )
-
-
-def divergence_summary(
-    pairing: WhatifPairing,
-    *,
-    sweep_dir: str | Path | None = None,
-    k_sigma: float = DEFAULT_K_SIGMA,
-    band_floor: float = DEFAULT_BAND_FLOOR,
-) -> dict[str, Any] | None:
-    """Running divergence digest for a pairing's ledger as it stands.
-
-    The public face of the incremental-progress payload: works from the
-    ledger alone (no simulation), returns ``None`` until at least one
-    seed has both legs settled.  The dist what-if job body polls this to
-    relay mid-flight divergence through the job document, exactly like
-    the in-process ``on_progress`` callback does for a local run.
-    """
-    return _divergence_summary(
-        pairing.spec(), sweep_dir, k_sigma=k_sigma, band_floor=band_floor
-    )
 
 
 def _divergence_summary(

@@ -1,12 +1,15 @@
-"""The dist coordinator: lease book-keeping over the sweep ledger.
+"""The dist coordinator: leases over the sweep task.
 
 One :class:`DistCoordinator` lives inside a ``--role coordinator``
-daemon.  Sweep/what-if job bodies submit **tasks** (a preset descriptor
-expanded locally into cells), workers pull **leases** (one cell each)
-over ``/v1/dist/*``, and completed results merge straight into the
-ordinary resumable JSONL ledger — first record per cell index wins, so
-a duplicate completion can never flip a published result and the report
-built from the ledger is byte-identical to a serial run.
+daemon.  The cell bookkeeping — resume, the pending queue, the
+exactly-once ledger merge, abandon — is the ordinary
+:class:`~repro.sweep.task.SweepTask` that :func:`repro.sweep.run_sweep`
+drives; the coordinator adds only what remote execution needs: worker
+registration, **leases** (one cell each, pulled over ``/v1/dist/*``)
+with a TTL, heartbeats, and eviction.  Sweep and what-if job bodies call
+``run_sweep``/``run_whatif`` with :meth:`DistCoordinator.executor`, which
+registers their task here; completions merge through the task, so the
+report built from the ledger is byte-identical to a serial run.
 
 Failure model (pinned by ``tests/test_dist_coordinator.py``):
 
@@ -24,10 +27,10 @@ Failure model (pinned by ``tests/test_dist_coordinator.py``):
   re-queued.
 
 Everything is guarded by one lock: handlers run on the daemon's event
-loop thread while job bodies poll from manager worker threads.  Expiry
-and eviction are *lazy* — :meth:`tick` runs at the top of every dist
-request and every job-body poll, so no background timer thread exists
-to leak or race during drain.
+loop thread while job bodies wait on their task from manager worker
+threads.  Expiry and eviction are *lazy* — :meth:`tick` runs at the top
+of every dist request and every job-body wait, so no background timer
+thread exists to leak or race during drain.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
@@ -48,8 +51,8 @@ from repro.service.dist.protocol import (
     resolve_spec,
     result_sha256,
 )
-from repro.sweep.ledger import SweepLedger
-from repro.sweep.spec import SweepCell, expand
+from repro.sweep.spec import ScenarioSpec, sweep_id
+from repro.sweep.task import SweepTask
 
 
 @dataclass
@@ -68,34 +71,10 @@ class _Lease:
     """One in-flight cell assignment."""
 
     lease_id: str
-    task_id: str
+    task: SweepTask
     cell_index: int
     worker_id: str
     deadline: float
-    attempt: int
-
-
-@dataclass
-class _Task:
-    """One decomposed sweep: descriptor, ledger, and the cell queue."""
-
-    task_id: str
-    descriptor: dict[str, Any]
-    ledger: SweepLedger
-    cells: dict[int, SweepCell]
-    #: cell indices still waiting for a lease (expired cells re-join at
-    #: the front so a re-dispatch happens before fresh work).
-    pending: list[int] = field(default_factory=list)
-    leased: dict[int, str] = field(default_factory=dict)  # index -> lease_id
-    completed: set[int] = field(default_factory=set)
-    ledger_hits: set[int] = field(default_factory=set)
-    #: attempts already spent per cell (for lease documents / metrics).
-    attempts: dict[int, int] = field(default_factory=dict)
-    abandoned: bool = False
-
-    @property
-    def done(self) -> bool:
-        return self.abandoned or len(self.completed) == len(self.cells)
 
 
 class DistCoordinator:
@@ -121,7 +100,11 @@ class DistCoordinator:
         self._clock = clock
         self._lock = threading.RLock()
         self._workers: dict[str, _Worker] = {}
-        self._tasks: dict[str, _Task] = {}
+        self._tasks: dict[str, SweepTask] = {}
+        #: task id -> the preset descriptor workers re-expand.
+        self._descriptors: dict[str, dict[str, Any]] = {}
+        #: (task, cell index) pairs leased at least once.
+        self._dispatched: set[tuple[SweepTask, int]] = set()
         self._leases: dict[str, _Lease] = {}
         self._lease_ids = itertools.count(1)
         self.draining = False
@@ -159,7 +142,7 @@ class DistCoordinator:
             worker = self._workers.pop(worker_id, None)
             if worker is None:
                 raise self._unknown_worker(worker_id)
-            self._expire_worker_leases(worker_id, reason="deregistered")
+            self._expire_worker_leases(worker_id)
             return {"worker_id": worker_id, "completed": worker.completed}
 
     def heartbeat(self, worker_id: str) -> dict[str, Any]:
@@ -195,25 +178,21 @@ class DistCoordinator:
             if self.draining:
                 return idle
             for task in self._tasks.values():
-                if task.abandoned or not task.pending:
+                cell = task.take()
+                if cell is None:
                     continue
-                index = task.pending.pop(0)
-                attempt = task.attempts.get(index, 0) + 1
-                task.attempts[index] = attempt
                 lease = _Lease(
                     lease_id=f"lease-{next(self._lease_ids)}",
-                    task_id=task.task_id,
-                    cell_index=index,
+                    task=task,
+                    cell_index=cell.index,
                     worker_id=worker_id,
                     deadline=self._clock() + self.lease_ttl_s,
-                    attempt=attempt,
                 )
                 self._leases[lease.lease_id] = lease
-                task.leased[index] = lease.lease_id
-                cell = task.cells[index]
                 obs.counter("service.dist.leases.granted").inc()
-                if attempt > 1:
+                if (task, cell.index) in self._dispatched:
                     obs.counter("service.dist.leases.retried").inc()
+                self._dispatched.add((task, cell.index))
                 return {
                     **idle,
                     "lease_id": lease.lease_id,
@@ -223,7 +202,7 @@ class DistCoordinator:
                         "cell_id": cell.cell_id,
                         "config_fingerprint": cell.config_fingerprint,
                     },
-                    "task": dict(task.descriptor),
+                    "task": dict(self._descriptors[task.task_id]),
                 }
             return idle
 
@@ -245,13 +224,13 @@ class DistCoordinator:
         with self._lock:
             self.tick()
             lease = self._current_lease(lease_id, worker_id)
-            task = self._tasks[lease.task_id]
+            task = lease.task
             result = payload["result"]
             digest = result_sha256(result)
             if digest != payload["result_sha256"]:
                 # Corrupt upload: drop the lease and put the cell back.
                 self._drop_lease(lease)
-                task.pending.insert(0, lease.cell_index)
+                task.requeue(lease.cell_index)
                 obs.counter("service.dist.completions.rejected").inc()
                 raise ProtocolError(
                     400,
@@ -262,18 +241,12 @@ class DistCoordinator:
                     expected=payload["result_sha256"],
                     got=digest,
                 )
-            cell = task.cells[lease.cell_index]
             with obs.span("service.dist.merge"):
-                if lease.cell_index not in task.completed:
-                    task.ledger.append_cell(
-                        index=cell.index,
-                        cell_id=cell.cell_id,
-                        labels=cell.label_map,
-                        config_fingerprint=cell.config_fingerprint,
-                        elapsed_s=float(payload["elapsed_s"]),
-                        result=result,
-                    )
-                    task.completed.add(lease.cell_index)
+                task.complete(
+                    lease.cell_index,
+                    elapsed_s=float(payload["elapsed_s"]),
+                    result=result,
+                )
             self._drop_lease(lease)
             worker = self._workers.get(worker_id)
             if worker is not None:
@@ -293,59 +266,34 @@ class DistCoordinator:
         with self._lock:
             self.tick()
             lease = self._current_lease(lease_id, worker_id)
-            task = self._tasks[lease.task_id]
             self._drop_lease(lease)
-            task.pending.insert(0, lease.cell_index)
+            lease.task.requeue(lease.cell_index)
             obs.counter("service.dist.leases.failed").inc()
             return {"lease_id": lease_id, "requeued": lease.cell_index}
 
-    # -- tasks (called by in-daemon job bodies) ----------------------------------
+    # -- tasks (registered by in-daemon job bodies) ------------------------------
+
+    def executor(self, descriptor: dict[str, Any]):
+        """A ``run_sweep`` executor that finishes cells by remote leases.
+
+        ``descriptor`` names the preset workers re-expand.  The task is
+        registered here (or joins the live task of the same sweep), and
+        each step of the driving thread waits for completions.
+        """
+        return lambda spec, *, root, resume: (
+            self._open(spec, descriptor, root=root, resume=resume),
+            self._wait,
+        )
 
     def submit(self, descriptor: dict[str, Any], *, resume: bool = True) -> str:
-        """Decompose one preset descriptor into a task; returns task id.
-
-        Idempotent per sweep id: a descriptor already in flight returns
-        the existing task (job-level coalescing makes this rare, but a
-        resubmitted job must never fork a second ledger writer).  With
-        ``resume=True``, cells already in the ledger count as hits and
-        are never dispatched.
-        """
-        with obs.span("service.dist.submit"):
-            spec = resolve_spec(descriptor)
-            cells = {cell.index: cell for cell in expand(spec)}
-            ledger = SweepLedger(spec, root=self.sweep_dir)
-            with self._lock:
-                task_id = ledger.sweep_id
-                existing = self._tasks.get(task_id)
-                if existing is not None and not existing.done:
-                    return task_id
-                if not resume:
-                    ledger.reset()
-                state = ledger.read()
-                if state.header is None:
-                    ledger.write_header(len(cells))
-                hits = {
-                    index
-                    for index, record in state.cells.items()
-                    if index in cells
-                    and record.get("config_fingerprint")
-                    == cells[index].config_fingerprint
-                }
-                task = _Task(
-                    task_id=task_id,
-                    descriptor=dict(descriptor),
-                    ledger=ledger,
-                    cells=cells,
-                    pending=[i for i in sorted(cells) if i not in hits],
-                    completed=set(hits),
-                    ledger_hits=set(hits),
-                )
-                self._tasks[task_id] = task
-                obs.gauge("service.dist.tasks").set(len(self._tasks))
-                return task_id
+        """Register one preset descriptor's task; returns the task id."""
+        spec = resolve_spec(descriptor)
+        return self._open(
+            spec, descriptor, root=self.sweep_dir, resume=resume
+        ).task_id
 
     def task_status(self, task_id: str) -> dict[str, Any]:
-        """Progress snapshot for one task (job bodies poll this)."""
+        """Progress snapshot for one task."""
         with self._lock:
             self.tick()
             task = self._tasks.get(task_id)
@@ -353,31 +301,15 @@ class DistCoordinator:
                 raise ProtocolError(
                     404, "unknown-task", f"no such dist task: {task_id}"
                 )
-            return {
-                "task_id": task_id,
-                "done": task.done,
-                "abandoned": task.abandoned,
-                "n_cells": len(task.cells),
-                "n_done": len(task.completed),
-                "n_pending": len(task.pending),
-                "n_leased": len(task.leased),
-                "executed": len(task.completed) - len(task.ledger_hits),
-                "ledger_hits": len(task.ledger_hits),
-                "n_workers": len(self._workers),
-            }
+            return {**self._task_view(task), "n_workers": len(self._workers)}
 
     def abandon(self, task_id: str) -> None:
         """Stop dispatching a task (job cancelled); leases go stale."""
         with self._lock:
             task = self._tasks.get(task_id)
-            if task is None:
-                return
-            task.abandoned = True
-            task.pending.clear()
-            for index, lease_id in list(task.leased.items()):
-                lease = self._leases.pop(lease_id, None)
-                if lease is not None:
-                    del task.leased[index]
+            if task is not None:
+                task.abandon()
+                self.tick()
 
     # -- liveness ----------------------------------------------------------------
 
@@ -388,10 +320,12 @@ class DistCoordinator:
             for worker_id, worker in list(self._workers.items()):
                 if now - worker.last_seen > self.heartbeat_timeout_s:
                     del self._workers[worker_id]
-                    self._expire_worker_leases(worker_id, reason="evicted")
+                    self._expire_worker_leases(worker_id)
                     obs.counter("service.dist.workers.evicted").inc()
             for lease in list(self._leases.values()):
-                if now > lease.deadline:
+                if lease.task.abandoned:
+                    self._drop_lease(lease)
+                elif now > lease.deadline:
                     self._expire_lease(lease)
 
     def drain(self) -> None:
@@ -416,17 +350,7 @@ class DistCoordinator:
                         self._workers.values(), key=lambda w: w.worker_id
                     )
                 ],
-                "tasks": [
-                    {
-                        "task_id": task.task_id,
-                        "done": task.done,
-                        "n_cells": len(task.cells),
-                        "n_done": len(task.completed),
-                        "n_pending": len(task.pending),
-                        "n_leased": len(task.leased),
-                    }
-                    for task in self._tasks.values()
-                ],
+                "tasks": [self._task_view(task) for task in self._tasks.values()],
                 "leases": len(self._leases),
             }
 
@@ -452,20 +376,47 @@ class DistCoordinator:
             )
         return lease
 
+    def _open(
+        self,
+        spec: ScenarioSpec,
+        descriptor: dict[str, Any],
+        *,
+        root: str | Path | None,
+        resume: bool,
+    ) -> SweepTask:
+        """The live task of ``spec``'s sweep, or a new one registered.
+
+        Idempotent per sweep id: a sweep already in flight keeps its one
+        task — and its one ledger writer — whatever ``resume`` says.
+        """
+        with obs.span("service.dist.submit"), self._lock:
+            existing = self._tasks.get(sweep_id(spec))
+            if existing is not None and not existing.done:
+                return existing
+            task = SweepTask(spec, root=root, resume=resume)
+            self._tasks[task.task_id] = task
+            self._descriptors[task.task_id] = dict(descriptor)
+            obs.gauge("service.dist.tasks").set(len(self._tasks))
+            return task
+
+    def _wait(self, task: SweepTask) -> None:
+        """One step of a leased run: expire what is due, await a merge."""
+        self.tick()
+        task.wait(self.poll_interval_s)
+
+    def _task_view(self, task: SweepTask) -> dict[str, Any]:
+        leased = [lease for lease in self._leases.values() if lease.task is task]
+        return {"task_id": task.task_id, **task.status(), "n_leased": len(leased)}
+
     def _drop_lease(self, lease: _Lease) -> None:
         self._leases.pop(lease.lease_id, None)
-        task = self._tasks.get(lease.task_id)
-        if task is not None and task.leased.get(lease.cell_index) == lease.lease_id:
-            del task.leased[lease.cell_index]
 
     def _expire_lease(self, lease: _Lease) -> None:
         self._drop_lease(lease)
-        task = self._tasks.get(lease.task_id)
-        if task is not None and lease.cell_index not in task.completed:
-            task.pending.insert(0, lease.cell_index)
+        lease.task.requeue(lease.cell_index)
         obs.counter("service.dist.leases.expired").inc()
 
-    def _expire_worker_leases(self, worker_id: str, *, reason: str) -> None:
+    def _expire_worker_leases(self, worker_id: str) -> None:
         for lease in list(self._leases.values()):
             if lease.worker_id == worker_id:
                 self._expire_lease(lease)

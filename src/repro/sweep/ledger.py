@@ -137,6 +137,23 @@ class SweepLedger:
                 except OSError:
                     pass
 
+    def discard(self, indices: set[int]) -> None:
+        """Rewrite the ledger without the cell records of ``indices``.
+
+        The rewrite goes to a sibling file that replaces the ledger in
+        one rename, so a crash leaves either the old or the new ledger.
+        """
+        state = self.read()
+        records = [state.header] + [
+            record for index, record in state.cells.items() if index not in indices
+        ]
+        staging = self.path.with_suffix(".rewrite")
+        staging.write_text(
+            "".join(_encode(record) + "\n" for record in records if record),
+            encoding="utf-8",
+        )
+        os.replace(staging, self.path)
+
     def write_header(self, n_cells: int) -> None:
         """Start a ledger: directory plus the identifying header record."""
         self.dir.mkdir(parents=True, exist_ok=True)
@@ -175,8 +192,11 @@ class SweepLedger:
         )
 
     def _append(self, record: dict[str, Any]) -> None:
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
         with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(line + "\n")
+            handle.write(_encode(record) + "\n")
             handle.flush()
             os.fsync(handle.fileno())
+
+
+def _encode(record: dict[str, Any]) -> str:
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))

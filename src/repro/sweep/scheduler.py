@@ -1,30 +1,24 @@
 """The sweep scheduler: expand, resume, execute, aggregate.
 
-:func:`run_sweep` is the one entry point: it expands a
-:class:`~repro.sweep.spec.ScenarioSpec` into cells, consults the run
-ledger (:mod:`repro.sweep.ledger`) for already-completed cells, and
-executes the remainder *in cell order* through the existing machinery —
-each cell is a :class:`~repro.core.study.Study` whose simulation runs on
-the sharded executor (``jobs`` workers via
-:func:`repro.util.parallel.effective_jobs`) behind the content-addressed
-study cache.  Completed cells append their extracted
-:class:`~repro.sweep.report.CellResult` to the ledger before the next
-cell starts, so a kill at any point loses at most the in-flight cell.
+:func:`run_sweep` is the one entry point: it builds the sweep's
+:class:`~repro.sweep.task.SweepTask` (ledger resume, pending queue,
+exactly-once merge) and drives it to the end.  By default each missing
+cell runs inline, in cell order — a :class:`~repro.core.study.Study` on
+the sharded executor (``jobs`` workers) behind the content-addressed
+study cache — and reaches the ledger before the next cell starts, so a
+kill at any point loses at most the in-flight cell.  Each inline cell
+runs in its own collection context, absorbed into the caller's and
+written as a per-cell run manifest carrying sweep provenance.
 
 Determinism contract: cell order, cell ids, per-cell simulation output,
 and the rendered :class:`~repro.sweep.report.SweepReport` are identical
-for any ``--jobs`` value and any interrupt/resume history, because the
-report is always built from ledger payloads alone.
-
-Observability: each cell runs in its own collection context; its
-metrics/span payload is absorbed into the surrounding context (exactly
-like shard payloads) and written as a per-cell run manifest carrying
-sweep provenance (sweep id, cell index, spec fingerprint).
+for any ``--jobs`` value, any executor, and any interrupt/resume
+history, because the report is always built from ledger payloads alone.
 """
 
 from __future__ import annotations
 
-import os
+import functools
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -32,9 +26,10 @@ from typing import Callable
 
 from repro import obs
 from repro.core.study import Study
-from repro.sweep.ledger import LedgerState, SweepLedger
+from repro.sweep.ledger import SweepLedger
 from repro.sweep.report import CellResult, SweepReport, extract_cell
 from repro.sweep.spec import ScenarioSpec, SweepCell, expand
+from repro.sweep.task import EXECUTED, LEDGER_HIT, SweepTask
 from repro.util.parallel import effective_jobs
 
 Log = Callable[[str], None]
@@ -78,23 +73,6 @@ def sweep_provenance(
     }
 
 
-#: Optional per-cell stall (seconds) paid by *every* ``run_cell`` call,
-#: serial or distributed.  Models a blocking ingest/fetch phase so that
-#: latency-bound sweeps can be benchmarked on hosts whose core count
-#: cannot parallelise the compute itself (``make dist-smoke`` uses it to
-#: measure lease-pipeline overlap on single-core CI containers).  Unset
-#: or invalid means no stall.
-CELL_STALL_ENV = "REPRO_SWEEP_CELL_STALL_S"
-
-
-def _cell_stall_s() -> float:
-    raw = os.environ.get(CELL_STALL_ENV, "")
-    try:
-        return max(0.0, float(raw))
-    except ValueError:
-        return 0.0
-
-
 def run_cell(
     cell: SweepCell,
     *,
@@ -102,13 +80,44 @@ def run_cell(
     cache: bool | None = None,
     cache_dir: str | Path | None = None,
 ) -> CellResult:
-    """Execute one cell: stall (if configured), simulate, extract."""
-    stall = _cell_stall_s()
-    if stall:
-        time.sleep(stall)
+    """Execute one cell: simulate, extract."""
     study = Study(cell.config, jobs=jobs, cache=cache, cache_dir=cache_dir)
     study.observations
     return extract_cell(study, cell)
+
+
+def _execute_inline(
+    task: SweepTask,
+    *,
+    jobs: int | None,
+    cache: bool | None,
+    cache_dir: str | Path | None,
+    write_manifests: bool,
+    log: Log,
+) -> None:
+    """The inline executor's step: run the next cell in this thread."""
+    cell = task.take()
+    if cell is None:
+        return
+    started = time.perf_counter()
+    with obs.collecting() as registry, obs.tracing() as tracer:
+        with obs.span("sweep.cell"):
+            result = run_cell(cell, jobs=jobs, cache=cache, cache_dir=cache_dir)
+        snapshot, tree = registry.snapshot(), tracer.tree()
+    obs.absorb(snapshot, tree)
+    elapsed = time.perf_counter() - started
+    if write_manifests:
+        manifest = obs.build_manifest(
+            "sweep-cell",
+            config=cell.config,
+            registry=registry,
+            tracer=tracer,
+            sweep=sweep_provenance(task.ledger, cell.index),
+        )
+        task.ledger.cells_dir.mkdir(parents=True, exist_ok=True)
+        obs.write_manifest(task.ledger.manifest_path(cell.index), manifest)
+    task.complete(cell.index, elapsed_s=elapsed, result=result.to_dict())
+    log(f"cell {cell.index} [{cell.describe()}]: simulated in {elapsed:.1f}s")
 
 
 def run_sweep(
@@ -123,106 +132,72 @@ def run_sweep(
     should_stop: Callable[[], bool] | None = None,
     on_cell: Callable[[SweepCell, str], None] | None = None,
     log: Log = _silent,
+    executor=None,
 ) -> SweepOutcome:
     """Run (or resume) a sweep to completion and aggregate it.
 
     ``resume=True`` replays completed cells from the ledger without
     recomputation; ``resume=False`` resets the ledger first.  ``jobs``
-    shards each cell's simulation; cells themselves run sequentially in
-    cell order, which keeps the ledger append order — and with it the
-    report — deterministic.  ``cache``/``cache_dir`` are forwarded to
-    each cell's :class:`~repro.core.study.Study`; ``sweep_dir``
+    shards each cell's simulation; ``cache``/``cache_dir`` are forwarded
+    to each cell's :class:`~repro.core.study.Study`; ``sweep_dir``
     overrides where the ledger lives (default: the study cache root).
 
-    ``should_stop`` is polled between cells (the service daemon wires
-    job cancellation and SIGTERM drain to it); a ``True`` answer ends
-    the run after the in-flight cell with ``outcome.stopped`` set and
-    the ledger consistent — completed cells are never lost, and a later
-    ``resume=True`` run continues exactly where this one stopped.
+    ``on_cell(cell, "ledger-hit" | "executed")`` fires for every settled
+    cell (ledger hits first) and ``should_stop`` is polled before each
+    cell still to run — ``True`` ends the run with ``outcome.stopped``
+    set and the ledger resumable (:meth:`SweepTask.drive`).
 
-    ``on_cell`` is called after every settled cell with the cell and
-    how it settled (``"executed"`` or ``"ledger-hit"``) — the seam
-    long-running callers (the counterfactual engine, the service's
-    incremental job status) use to publish progress.  Hook failures
-    propagate: a caller's progress callback is part of the run.
+    ``executor(spec, root=..., resume=...)``, if given, returns the task
+    and the ``step(task)`` that advances it in place of running cells
+    inline — a dist coordinator's
+    :meth:`~repro.service.dist.DistCoordinator.executor` finishes them
+    by remote leases.
     """
-    cells = expand(spec)
-    ledger = SweepLedger(spec, root=sweep_dir if sweep_dir is not None else cache_dir)
-    if not resume:
-        ledger.reset()
-    state = ledger.read()
-    if state.header is None:
-        ledger.write_header(len(cells))
-        state = LedgerState(header=None, cells=state.cells)
-
-    workers = effective_jobs(jobs, None)
+    root = sweep_dir if sweep_dir is not None else cache_dir
+    if executor is None:
+        task = SweepTask(spec, root=root, resume=resume, log=log)
+        step = functools.partial(
+            _execute_inline,
+            jobs=jobs,
+            cache=cache,
+            cache_dir=cache_dir,
+            write_manifests=write_manifests,
+            log=log,
+        )
+    else:
+        task, step = executor(spec, root=root, resume=resume)
     log(
-        f"sweep {ledger.sweep_id}: {len(cells)} cells, "
-        f"{len(state.completed & {c.index for c in cells})} already in ledger, "
-        f"jobs {workers}"
+        f"sweep {task.task_id}: {len(task.cells)} cells, "
+        f"{len(task.completed)} already in ledger, "
+        f"jobs {effective_jobs(jobs, None)}"
+    )
+    with obs.span("sweep.run"):
+        obs.gauge("sweep.cells").set(len(task.cells))
+        stopped = task.drive(step, should_stop=should_stop, on_cell=on_cell)
+    if stopped:
+        log(f"sweep {task.task_id}: stop requested")
+    return SweepOutcome(
+        sweep_id=task.task_id,
+        ledger=task.ledger,
+        report=load_report(spec, sweep_dir=root),
+        executed=task.indices(EXECUTED),
+        ledger_hits=task.indices(LEDGER_HIT),
+        stopped=stopped,
     )
 
-    outcome = SweepOutcome(sweep_id=ledger.sweep_id, ledger=ledger)
-    with obs.span("sweep.run"):
-        obs.gauge("sweep.cells").set(len(cells))
-        for cell in cells:
-            if should_stop is not None and should_stop():
-                outcome.stopped = True
-                log(
-                    f"sweep {ledger.sweep_id}: stop requested after "
-                    f"{len(outcome.executed)} executed cells"
-                )
-                break
-            if cell.index in state.cells:
-                record = state.cells[cell.index]
-                if record.get("config_fingerprint") != cell.config_fingerprint:
-                    # Defensive: ledger passed fingerprint validation, so a
-                    # per-cell mismatch means a hand-edited file; recompute.
-                    log(f"cell {cell.index}: ledger record stale, re-running")
-                else:
-                    outcome.ledger_hits.append(cell.index)
-                    obs.counter("sweep.cells.ledger_hits").inc()
-                    log(f"cell {cell.index} [{cell.describe()}]: ledger hit")
-                    if on_cell is not None:
-                        on_cell(cell, "ledger-hit")
-                    continue
-            started = time.perf_counter()
-            with obs.collecting() as registry, obs.tracing() as tracer:
-                with obs.span("sweep.cell"):
-                    result = run_cell(
-                        cell, jobs=jobs, cache=cache, cache_dir=cache_dir
-                    )
-                snapshot, tree = registry.snapshot(), tracer.tree()
-            obs.absorb(snapshot, tree)
-            elapsed = time.perf_counter() - started
-            if write_manifests:
-                manifest = obs.build_manifest(
-                    "sweep-cell",
-                    config=cell.config,
-                    registry=registry,
-                    tracer=tracer,
-                    sweep=sweep_provenance(ledger, cell.index),
-                )
-                ledger.cells_dir.mkdir(parents=True, exist_ok=True)
-                obs.write_manifest(ledger.manifest_path(cell.index), manifest)
-            ledger.append_cell(
-                index=cell.index,
-                cell_id=cell.cell_id,
-                labels=cell.label_map,
-                config_fingerprint=cell.config_fingerprint,
-                elapsed_s=elapsed,
-                result=result.to_dict(),
-            )
-            outcome.executed.append(cell.index)
-            obs.counter("sweep.cells.executed").inc()
-            log(
-                f"cell {cell.index} [{cell.describe()}]: "
-                f"simulated in {elapsed:.1f}s"
-            )
-            if on_cell is not None:
-                on_cell(cell, "executed")
-    outcome.report = load_report(spec, sweep_dir=sweep_dir if sweep_dir is not None else cache_dir)
-    return outcome
+
+def report_document(preset_name: str, outcome: SweepOutcome) -> dict:
+    """The ``sweep-report`` document a preset sweep is served as."""
+    return {
+        "kind": "sweep-report",
+        "preset": preset_name,
+        "sweep_id": outcome.sweep_id,
+        "spec_fingerprint": outcome.ledger.spec_fingerprint,
+        "n_cells": outcome.report.n_cells,
+        "n_done": len(outcome.report.cells),
+        "stopped": outcome.stopped,
+        "rendered": outcome.report.render(),
+    }
 
 
 def sweep_status(

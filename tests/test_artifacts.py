@@ -126,3 +126,24 @@ class TestFacade:
         assert path.read_bytes() == artifact_json_bytes(
             small_study.artifact("table2")
         )
+
+
+class TestSharedAnalyses:
+    def test_every_artifact_of_a_study_computes_the_upset_once(self, monkeypatch):
+        """fig7, both federation joins, Akamai and the headline share one
+        UpSet decomposition per study."""
+        from repro.core import study as study_module
+        from repro.core.golden import pinned_configs
+
+        calls = []
+        real_upset = study_module.upset
+
+        def counting_upset(named_sets):
+            calls.append(sorted(named_sets))
+            return real_upset(named_sets)
+
+        monkeypatch.setattr(study_module, "upset", counting_upset)
+        study = study_module.Study(pinned_configs()["seed0-small"])
+        for name in artifact_names():
+            study_envelope(study, name)
+        assert len(calls) == 1
