@@ -26,9 +26,11 @@ conformance-scenarios:
 	PYTHONPATH=src python scripts/conformance_scenarios.py
 
 # What CI runs: fast tier, full conformance, the counterfactual smoke,
-# the distributed smoke, and a compile pass.
+# the distributed smoke, a compile pass, and a collection pass over the
+# benchmarks (the fast tier never imports them).
 ci: test-fast conformance whatif-smoke dist-smoke
 	python -m compileall -q src
+	pytest benchmarks --collect-only -q
 
 bench:
 	pytest benchmarks/ --benchmark-only

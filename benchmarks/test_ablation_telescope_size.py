@@ -8,7 +8,7 @@ population and reports the observed-target share.
 
 import numpy as np
 
-from repro.attacks.events import OBSERVATORY_KEYS, DayBatch
+from repro.attacks.events import OBSERVATORY_KEYS, ShardBatch
 from repro.net.addr import Prefix
 from repro.observatories.base import Observations
 from repro.observatories.telescope import NetworkTelescope, TelescopeConfig
@@ -18,8 +18,10 @@ from repro.util.rng import RngFactory
 def attack_population(n=4000, seed=0):
     rng = RngFactory(seed).stream("abl-size")
     pps = rng.lognormal(np.log(40_000), 2.2, size=n)
-    return DayBatch(
+    return ShardBatch(
         0,
+        1,
+        days=np.zeros(n, dtype=np.int32),
         attack_class=np.zeros(n, dtype=np.int8),
         target=np.arange(n, dtype=np.int64) + 1_000_000,
         origin_asn=np.full(n, 64500, dtype=np.int64),

@@ -36,14 +36,14 @@ def build_pipeline():
 
 def run_pipeline():
     generator, observatories = build_pipeline()
-    sinks = observatories.run_all(generator.batches())
+    sinks, _ = observatories.run_shard(generator.shard_batch(), CALENDAR)
     return sum(len(obs) for obs in sinks.values())
 
 
 def test_perf_generation(benchmark, report):
     def generate():
         generator, _ = build_pipeline()
-        return sum(len(batch) for batch in generator.batches())
+        return len(generator.shard_batch())
 
     events = benchmark.pedantic(generate, rounds=3, iterations=1)
     per_second = events / benchmark.stats.stats.mean

@@ -14,8 +14,7 @@ from repro.attacks.campaigns import Campaign, CampaignModel
 from repro.attacks.events import (
     OBSERVATORY_KEYS,
     AttackClass,
-    AttackEvent,
-    DayBatch,
+    ShardBatch,
 )
 from repro.attacks.generator import GeneratorConfig, GroundTruthGenerator
 from repro.attacks.landscape import LandscapeModel, PiecewiseCurve
@@ -32,8 +31,7 @@ from repro.attacks.vectors import (
 
 __all__ = [
     "AttackClass",
-    "AttackEvent",
-    "DayBatch",
+    "ShardBatch",
     "OBSERVATORY_KEYS",
     "Vector",
     "VECTORS",

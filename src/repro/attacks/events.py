@@ -1,20 +1,17 @@
-"""Attack-event model: per-event records and per-day batches.
+"""Attack-event model: the columnar ground-truth batch.
 
-The generator produces one :class:`DayBatch` per study day.  Batches store
-attributes as parallel numpy arrays (struct-of-arrays) because observatory
-visibility models evaluate vectorised masks over them; :meth:`DayBatch.events`
-materialises :class:`AttackEvent` objects for record-level consumers.
+The generator synthesises each contiguous day range (a 28-day shard in
+the parallel executor, the whole window for ``ddoscovery landscape``) as
+one :class:`ShardBatch`.  Events are stored as parallel numpy arrays
+(struct-of-arrays) because the observatory visibility models evaluate
+vectorised masks over them.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
-
-from repro.attacks.vectors import VECTORS, Vector
 
 #: Keys identifying the vantage points for per-event visibility bias.
 OBSERVATORY_KEYS = (
@@ -44,220 +41,7 @@ class AttackClass(enum.IntEnum):
         return "DP" if self is AttackClass.DIRECT_PATH else "RA"
 
 
-@dataclass(frozen=True, slots=True)
-class AttackEvent:
-    """One ground-truth attack.
-
-    ``start`` is seconds since the study epoch.  ``spoofed`` only applies to
-    direct-path events (randomly-spoofed DoS, the telescope-visible subset).
-    ``hp_selected`` is the honeypot-selection bitmask (:data:`HP_BIT`).
-    ``bias`` maps observatory keys to visibility multipliers from the
-    originating campaign (1.0 when not part of a campaign).
-    """
-
-    event_id: int
-    attack_class: AttackClass
-    target: int
-    origin_asn: int
-    start: float
-    duration: float
-    pps: float
-    bps: float
-    vector_id: int
-    secondary_vector_id: int
-    carpet: bool
-    carpet_prefix_len: int
-    spoofed: bool
-    hp_selected: int
-    bias: dict[str, float]
-
-    @property
-    def end(self) -> float:
-        """Study-epoch end time."""
-        return self.start + self.duration
-
-    @property
-    def day(self) -> int:
-        """0-based study day index of the attack start."""
-        return int(self.start // 86_400)
-
-    @property
-    def vector(self) -> Vector:
-        """Primary vector."""
-        return VECTORS[self.vector_id]
-
-    @property
-    def vectors(self) -> tuple[Vector, ...]:
-        """All vectors in use (one or two)."""
-        if self.secondary_vector_id < 0:
-            return (VECTORS[self.vector_id],)
-        return (VECTORS[self.vector_id], VECTORS[self.secondary_vector_id])
-
-    @property
-    def is_rsdos(self) -> bool:
-        """Randomly-spoofed direct-path attack (telescope-visible)."""
-        return self.attack_class is AttackClass.DIRECT_PATH and self.spoofed
-
-    def hp_is_selected(self, platform: str) -> bool:
-        """Whether the named honeypot platform was selected as reflector."""
-        return bool(self.hp_selected & (1 << HP_BIT[platform]))
-
-
-class _BatchColumns:
-    """Mask operations shared by every columnar batch shape.
-
-    Subclasses hold the parallel event columns (``attack_class``,
-    ``spoofed``, ``hp_selected``, ...) and expose per-event ``days``; the
-    observatory visibility models only ever touch this interface, which is
-    what lets one ``observe()`` implementation serve both per-day batches
-    and whole multi-day shards.
-    """
-
-    __slots__ = ()
-
-    def __len__(self) -> int:
-        return len(self.target)
-
-    @property
-    def is_direct_path(self) -> np.ndarray:
-        """Boolean mask of direct-path events."""
-        return self.attack_class == int(AttackClass.DIRECT_PATH)
-
-    @property
-    def is_reflection(self) -> np.ndarray:
-        """Boolean mask of reflection-amplification events."""
-        return self.attack_class == int(AttackClass.REFLECTION_AMPLIFICATION)
-
-    @property
-    def is_rsdos(self) -> np.ndarray:
-        """Boolean mask of randomly-spoofed direct-path events."""
-        return self.is_direct_path & self.spoofed
-
-    def hp_selected_mask(self, platform: str) -> np.ndarray:
-        """Boolean mask of events that selected the named honeypot platform."""
-        return (self.hp_selected & (1 << HP_BIT[platform])) != 0
-
-
-class DayBatch(_BatchColumns):
-    """All ground-truth attacks that started on one study day.
-
-    Attributes are parallel numpy arrays of length ``n``:
-
-    ``attack_class`` int8, ``target`` int64, ``origin_asn`` int64,
-    ``start`` / ``duration`` / ``pps`` / ``bps`` float64,
-    ``vector_id`` / ``secondary_vector_id`` int16 (−1 = none),
-    ``carpet`` bool, ``carpet_prefix_len`` int8, ``spoofed`` bool,
-    ``hp_selected`` uint8, and ``bias[key]`` float64 per observatory key.
-    """
-
-    __slots__ = (
-        "day",
-        "attack_class",
-        "target",
-        "origin_asn",
-        "start",
-        "duration",
-        "pps",
-        "bps",
-        "vector_id",
-        "secondary_vector_id",
-        "carpet",
-        "carpet_prefix_len",
-        "spoofed",
-        "hp_selected",
-        "bias",
-        "event_id_base",
-    )
-
-    def __init__(
-        self,
-        day: int,
-        *,
-        attack_class: np.ndarray,
-        target: np.ndarray,
-        origin_asn: np.ndarray,
-        start: np.ndarray,
-        duration: np.ndarray,
-        pps: np.ndarray,
-        bps: np.ndarray,
-        vector_id: np.ndarray,
-        secondary_vector_id: np.ndarray,
-        carpet: np.ndarray,
-        carpet_prefix_len: np.ndarray,
-        spoofed: np.ndarray,
-        hp_selected: np.ndarray,
-        bias: dict[str, np.ndarray],
-        event_id_base: int = 0,
-    ) -> None:
-        self.day = day
-        self.attack_class = attack_class
-        self.target = target
-        self.origin_asn = origin_asn
-        self.start = start
-        self.duration = duration
-        self.pps = pps
-        self.bps = bps
-        self.vector_id = vector_id
-        self.secondary_vector_id = secondary_vector_id
-        self.carpet = carpet
-        self.carpet_prefix_len = carpet_prefix_len
-        self.spoofed = spoofed
-        self.hp_selected = hp_selected
-        self.bias = bias
-        self.event_id_base = event_id_base
-        n = len(target)
-        for name in (
-            "attack_class",
-            "origin_asn",
-            "start",
-            "duration",
-            "pps",
-            "bps",
-            "vector_id",
-            "secondary_vector_id",
-            "carpet",
-            "carpet_prefix_len",
-            "spoofed",
-            "hp_selected",
-        ):
-            if len(getattr(self, name)) != n:
-                raise ValueError(f"array {name} length mismatch")
-        for key in OBSERVATORY_KEYS:
-            if key not in bias or len(bias[key]) != n:
-                raise ValueError(f"bias array missing or wrong length: {key}")
-
-    @property
-    def days(self) -> np.ndarray:
-        """Per-event study-day indices (all equal for a day batch)."""
-        return np.full(len(self), self.day, dtype=np.int32)
-
-    def event(self, index: int) -> AttackEvent:
-        """Materialise one event record."""
-        return AttackEvent(
-            event_id=self.event_id_base + index,
-            attack_class=AttackClass(int(self.attack_class[index])),
-            target=int(self.target[index]),
-            origin_asn=int(self.origin_asn[index]),
-            start=float(self.start[index]),
-            duration=float(self.duration[index]),
-            pps=float(self.pps[index]),
-            bps=float(self.bps[index]),
-            vector_id=int(self.vector_id[index]),
-            secondary_vector_id=int(self.secondary_vector_id[index]),
-            carpet=bool(self.carpet[index]),
-            carpet_prefix_len=int(self.carpet_prefix_len[index]),
-            spoofed=bool(self.spoofed[index]),
-            hp_selected=int(self.hp_selected[index]),
-            bias={key: float(self.bias[key][index]) for key in OBSERVATORY_KEYS},
-        )
-
-    def events(self) -> Iterator[AttackEvent]:
-        """Materialise every event record in order."""
-        for index in range(len(self)):
-            yield self.event(index)
-
-
-#: Event columns shared by :class:`DayBatch` and :class:`ShardBatch`
+#: Per-event columns of a :class:`ShardBatch` and their dtypes
 #: (``days`` and ``bias`` are handled separately).
 EVENT_COLUMNS: tuple[tuple[str, type], ...] = (
     ("attack_class", np.int8),
@@ -276,14 +60,16 @@ EVENT_COLUMNS: tuple[tuple[str, type], ...] = (
 )
 
 
-class ShardBatch(_BatchColumns):
+class ShardBatch:
     """All ground-truth attacks of one contiguous day range, columnar.
 
-    The shard-parallel executor synthesises whole 28-day shards as one
-    struct-of-arrays block: the same columns as :class:`DayBatch` plus a
-    per-event ``days`` array (int32, non-decreasing — events are appended
-    in day order).  Observatories sweep the whole shard with one
-    vectorised pass instead of re-walking per-day batches.
+    Attributes are parallel numpy arrays of length ``n``, one per
+    :data:`EVENT_COLUMNS` entry (``start`` is seconds since the study
+    epoch; ``secondary_vector_id`` is −1 for single-vector attacks;
+    ``hp_selected`` is the :data:`HP_BIT` bitmask), plus ``bias[key]``
+    float64 per observatory key and a per-event ``days`` array (int32,
+    non-decreasing — events are appended in day order).  Observatories
+    sweep the whole range with one vectorised pass.
     """
 
     __slots__ = ("start_day", "stop_day", "days", "bias") + tuple(
@@ -315,15 +101,24 @@ class ShardBatch(_BatchColumns):
             if key not in bias or len(bias[key]) != n:
                 raise ValueError(f"bias array missing or wrong length: {key}")
 
-    def day_slices(self) -> Iterator[tuple[int, slice]]:
-        """``(day, slice)`` pairs covering the shard, in day order.
+    def __len__(self) -> int:
+        return len(self.days)
 
-        Days without events are skipped (their slice would be empty).
-        """
-        if not len(self):
-            return
-        edges = np.flatnonzero(np.diff(self.days)) + 1
-        starts = np.concatenate(([0], edges))
-        stops = np.concatenate((edges, [len(self)]))
-        for start, stop in zip(starts.tolist(), stops.tolist()):
-            yield int(self.days[start]), slice(start, stop)
+    @property
+    def is_direct_path(self) -> np.ndarray:
+        """Boolean mask of direct-path events."""
+        return self.attack_class == int(AttackClass.DIRECT_PATH)
+
+    @property
+    def is_reflection(self) -> np.ndarray:
+        """Boolean mask of reflection-amplification events."""
+        return self.attack_class == int(AttackClass.REFLECTION_AMPLIFICATION)
+
+    @property
+    def is_rsdos(self) -> np.ndarray:
+        """Boolean mask of randomly-spoofed direct-path events."""
+        return self.is_direct_path & self.spoofed
+
+    def hp_selected_mask(self, platform: str) -> np.ndarray:
+        """Boolean mask of events that selected the named honeypot platform."""
+        return (self.hp_selected & (1 << HP_BIT[platform])) != 0

@@ -1,8 +1,9 @@
 """Ground-truth attack-event generator.
 
-Produces one :class:`~repro.attacks.events.DayBatch` per study day,
-deterministically from the study seed.  Per-day expected counts come from
-the :class:`~repro.attacks.landscape.LandscapeModel` plus active campaigns;
+Synthesises a contiguous range of study days as one columnar
+:class:`~repro.attacks.events.ShardBatch`, deterministically from the study
+seed.  Per-day expected counts come from the
+:class:`~repro.attacks.landscape.LandscapeModel` plus active campaigns;
 per-event attributes are sampled with numpy so a full 4.5-year run stays
 fast.
 
@@ -34,8 +35,7 @@ process-parallel executor in :mod:`repro.util.parallel` relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +45,6 @@ from repro.attacks.events import (
     HP_BIT,
     OBSERVATORY_KEYS,
     AttackClass,
-    DayBatch,
     ShardBatch,
 )
 from repro.attacks.landscape import LandscapeModel
@@ -58,10 +57,6 @@ from repro.util.rng import RngFactory
 
 #: Honeypot platforms with reflector-selection base probabilities.
 HP_BASE_SELECTION = {"hopscotch": 0.70, "amppot": 0.66, "newkid": 0.004}
-
-#: Event-id block reserved per study day for day-range shards (far above
-#: any realistic per-day event count).
-EVENT_ID_BLOCK = 1_000_000
 
 #: Per-platform, per-vector selection affinity (default 1.0).  Encodes the
 #: paper's protocol-composition differences between the honeypots.
@@ -206,7 +201,7 @@ class _ClassSampler:
 
 
 class GroundTruthGenerator:
-    """Streams :class:`DayBatch` objects for the whole study window.
+    """Synthesises ground-truth attacks for a range of study days.
 
     ``day_range`` restricts the generator to a contiguous ``[start, stop)``
     slice of study days — the shard unit of the parallel executor.  Each
@@ -265,9 +260,6 @@ class GroundTruthGenerator:
         self._emergence = scenario.emergence if scenario is not None else None
         self._ra_weekly_samplers: dict[int, _ClassSampler] = {}
         self._weekly_noise = self._draw_weekly_noise()
-        # Full runs number events contiguously from zero; day-range shards
-        # offset by a per-day block so ids never collide across shards.
-        self._next_event_id = self.day_range[0] * EVENT_ID_BLOCK
 
     def _draw_weekly_noise(self) -> dict[AttackClass, np.ndarray]:
         """Weekly lognormal supply noise, one factor per class per week.
@@ -322,33 +314,16 @@ class GroundTruthGenerator:
             scaled[platform] = 1.0 - (1.0 - clipped) ** pool.scale
         return scaled
 
-    # -- per-day synthesis ------------------------------------------------------
-
-    def batches(self) -> Iterator[DayBatch]:
-        """Yield one batch per day of the generator's range, in order."""
-        for day in range(*self.day_range):
-            yield self.batch_for_day(day)
-
-    def batch_for_day(self, day: int) -> DayBatch:
-        """Synthesise the batch for one day.
-
-        Every day draws from its own RNG stream, so per-day output does
-        not depend on which other days were generated first; only the
-        victim recurrence pool carries state between consecutive days.
-        """
-        with span("generate.day"):
-            segments = self._day_segments(day)
-            batch = self._assemble(day, segments)
-        self._count_day(segments)
-        return batch
+    # -- synthesis -------------------------------------------------------------
 
     def shard_batch(self) -> ShardBatch:
         """Synthesise the generator's whole day range as one columnar batch.
 
-        The per-day RNG streams and the day iteration order are exactly
-        those of :meth:`batches`, so the shard holds the same events in the
-        same order — it just skips the per-day object churn and hands the
-        observatories one struct-of-arrays block to sweep.
+        Days are synthesised in order, each from its own RNG stream, so
+        per-day output does not depend on which other days were generated
+        first; only the victim recurrence pool carries state between
+        consecutive days.  The observatories sweep the resulting
+        struct-of-arrays block in one vectorised pass.
         """
         start, stop = self.day_range
         segments: list[dict] = []
@@ -714,41 +689,3 @@ class GroundTruthGenerator:
             partners.append(partner)
             counter("generate.partner_events").inc(len(indices))
         return partners
-
-    # -- assembly --------------------------------------------------------------
-
-    def _assemble(self, day: int, segments: list[dict]) -> DayBatch:
-        if not segments:
-            empty = np.empty(0)
-            return DayBatch(
-                day,
-                attack_class=np.empty(0, dtype=np.int8),
-                target=np.empty(0, dtype=np.int64),
-                origin_asn=np.empty(0, dtype=np.int64),
-                start=empty,
-                duration=empty.copy(),
-                pps=empty.copy(),
-                bps=empty.copy(),
-                vector_id=np.empty(0, dtype=np.int16),
-                secondary_vector_id=np.empty(0, dtype=np.int16),
-                carpet=np.empty(0, dtype=bool),
-                carpet_prefix_len=np.empty(0, dtype=np.int8),
-                spoofed=np.empty(0, dtype=bool),
-                hp_selected=np.empty(0, dtype=np.uint8),
-                bias={key: empty.copy() for key in OBSERVATORY_KEYS},
-                event_id_base=self._next_event_id,
-            )
-        merged = {
-            name: np.concatenate([segment[name] for segment in segments])
-            for name in segments[0]
-            if name != "bias"
-        }
-        bias = {
-            key: np.concatenate([segment["bias"][key] for segment in segments])
-            for key in OBSERVATORY_KEYS
-        }
-        batch = DayBatch(
-            day, bias=bias, event_id_base=self._next_event_id, **merged
-        )
-        self._next_event_id += len(batch)
-        return batch

@@ -907,17 +907,16 @@ def _command_landscape(args: argparse.Namespace) -> int:
             plan, calendar, landscape, campaigns, rng_factory=factory
         )
 
-        total = dp = ra = carpet = multi = 0
+        batch = generator.shard_batch()
+        total = len(batch)
+        dp = int(batch.is_direct_path.sum())
+        ra = int(batch.is_reflection.sum())
+        carpet = int(batch.carpet.sum())
+        multi = int((batch.secondary_vector_id >= 0).sum())
         vector_counts: dict[str, int] = {}
-        for batch in generator.batches():
-            total += len(batch)
-            dp += int(batch.is_direct_path.sum())
-            ra += int(batch.is_reflection.sum())
-            carpet += int(batch.carpet.sum())
-            multi += int((batch.secondary_vector_id >= 0).sum())
-            for vector_id in batch.vector_id.tolist():
-                name = VECTORS[vector_id].name
-                vector_counts[name] = vector_counts.get(name, 0) + 1
+        for vector_id in batch.vector_id.tolist():
+            name = VECTORS[vector_id].name
+            vector_counts[name] = vector_counts.get(name, 0) + 1
 
         print(f"ground truth over {calendar.n_weeks} weeks (seed {args.seed}):")
         print(f"  attacks           {total}")

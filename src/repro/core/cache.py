@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import datetime as _dt
+import fcntl
 import hashlib
 import json
 import os
@@ -57,6 +58,8 @@ _TRUTH_PREFIX = "truth::"
 #: Persistent cache-activity counters, kept next to the entries so
 #: ``ddoscovery cache info`` can report hit rates across processes.
 STATS_FILE = "stats.json"
+#: Sibling lock file serialising cross-process updates of :data:`STATS_FILE`.
+STATS_LOCK_FILE = "stats.lock"
 
 _STATS_KEYS = ("hits", "misses", "stores", "bytes_read", "bytes_written")
 
@@ -287,27 +290,32 @@ class StudyCache:
         return stats["hits"] / lookups
 
     def _record(self, **deltas: int) -> None:
-        """Best-effort bump of the persistent counters (atomic rewrite).
+        """Bump the persistent counters (locked, atomic rewrite).
 
-        Concurrent writers can lose each other's increments — the stats
-        are operational telemetry, never correctness-bearing — and any
-        I/O failure is swallowed just like a cache write failure.
+        An exclusive ``flock`` on :data:`STATS_LOCK_FILE` serialises the
+        read-modify-write across processes, so concurrent writers lose no
+        increment; readers never lock and see either the old or the new
+        file.  Any I/O failure is swallowed just like a cache write
+        failure — the stats are operational telemetry, never
+        correctness-bearing.
         """
         try:
-            updated = self.stats()
-            for key, delta in deltas.items():
-                updated[key] = updated.get(key, 0) + int(delta)
             self.root.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(
-                prefix="stats", suffix=".tmp", dir=self.root
-            )
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    json.dump(updated, handle, sort_keys=True)
-                os.replace(tmp_name, self.stats_path)
-            except BaseException:
-                os.unlink(tmp_name)
-                raise
+            with open(self.root / STATS_LOCK_FILE, "a") as lock:
+                fcntl.flock(lock, fcntl.LOCK_EX)
+                updated = self.stats()
+                for key, delta in deltas.items():
+                    updated[key] = updated.get(key, 0) + int(delta)
+                fd, tmp_name = tempfile.mkstemp(
+                    prefix="stats", suffix=".tmp", dir=self.root
+                )
+                try:
+                    with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                        json.dump(updated, handle, sort_keys=True)
+                    os.replace(tmp_name, self.stats_path)
+                except BaseException:
+                    os.unlink(tmp_name)
+                    raise
         except OSError:
             pass
 

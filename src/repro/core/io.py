@@ -128,29 +128,15 @@ def observations_from_csv(path: str | Path, name: str | None = None) -> Observat
             raw_duration = row.get("duration", "")
             durations.append(float(raw_duration) if raw_duration else float("nan"))
 
-    observations = Observations(name or path.stem)
-    if days:
-        order = np.argsort(np.asarray(days), kind="stable")
-        day_array = np.asarray(days)[order]
-        # Append per day to keep the accumulator semantics.
-        target_array = np.asarray(targets, dtype=np.int64)[order]
-        class_array = np.asarray(classes, dtype=np.int8)[order]
-        vector_array = np.asarray(vectors, dtype=np.int16)[order]
-        spoofed_array = np.asarray(spoofed, dtype=bool)[order]
-        bps_array = np.asarray(bps, dtype=np.float64)[order]
-        duration_array = np.asarray(durations, dtype=np.float64)[order]
-        for day in np.unique(day_array):
-            mask = day_array == day
-            observations.append(
-                int(day),
-                target_array[mask],
-                class_array[mask],
-                vector_array[mask],
-                spoofed_array[mask],
-                bps_array[mask],
-                duration=duration_array[mask],
-            )
-    return observations
+    order = np.argsort(np.asarray(days, dtype=np.int32), kind="stable")
+    columns = (days, targets, classes, vectors, spoofed, bps, durations)
+    return Observations.from_arrays(
+        name or path.stem,
+        {
+            column: np.asarray(values, dtype=dtype)[order]
+            for values, (column, dtype) in zip(columns, OBSERVATION_COLUMNS)
+        },
+    )
 
 
 def _class_from_label(label: str) -> int:

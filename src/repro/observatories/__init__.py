@@ -8,9 +8,10 @@ identifiers and thresholds; and three industry flow monitors (Netscout
 Atlas, Akamai Prolexic, IXP blackholing) observe attacks crossing their
 customer footprints.
 
-Each observatory consumes ground-truth :class:`~repro.attacks.events.DayBatch`
-objects and produces :class:`~repro.observatories.base.Observations` — the
-per-platform attack records the paper's analyses run on.
+Each observatory consumes ground-truth
+:class:`~repro.attacks.events.ShardBatch` blocks and produces
+:class:`~repro.observatories.base.Observations` — the per-platform attack
+records the paper's analyses run on.
 """
 
 from repro.observatories.base import Observations, Observatory, SeriesKey

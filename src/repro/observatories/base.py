@@ -1,11 +1,12 @@
 """Observatory base classes and observation accumulators.
 
-An :class:`Observatory` turns ground-truth day batches into
-:class:`Observations`: flat arrays of detected attack records (day, target,
-attack class, vector, spoofed flag, measured bps).  The analysis toolkit in
-:mod:`repro.core` consumes only these records — exactly the granularity the
-paper's data providers shared (daily attack counts and, for the federation
-analysis, (date, target-IP) tuples).
+An :class:`Observatory` turns a ground-truth
+:class:`~repro.attacks.events.ShardBatch` into :class:`Observations`: flat
+arrays of detected attack records (day, target, attack class, vector,
+spoofed flag, measured bps).  The analysis toolkit in :mod:`repro.core`
+consumes only these records — exactly the granularity the paper's data
+providers shared (daily attack counts and, for the federation analysis,
+(date, target-IP) tuples).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.attacks.events import AttackClass
+from repro.attacks.events import AttackClass, ShardBatch
 from repro.util.calendar import StudyCalendar
 
 
@@ -36,44 +37,6 @@ class SeriesKey:
         return f"{self.observatory} ({self.attack_class.label})"
 
 
-class _ColumnBuffer:
-    """Growable columnar numpy buffer (amortised O(1) append).
-
-    Keeps one contiguous array per column and doubles capacity on demand,
-    so millions of small per-day appends neither fragment into thousands
-    of tiny arrays nor trigger quadratic re-concatenation.
-    """
-
-    __slots__ = ("_data", "_size")
-
-    def __init__(self, dtype, capacity: int = 256) -> None:
-        self._data = np.empty(capacity, dtype=dtype)
-        self._size = 0
-
-    def __len__(self) -> int:
-        return self._size
-
-    def extend(self, values: np.ndarray) -> None:
-        """Append ``values`` (already of the column dtype)."""
-        n = len(values)
-        needed = self._size + n
-        if needed > len(self._data):
-            capacity = max(needed, 2 * len(self._data))
-            grown = np.empty(capacity, dtype=self._data.dtype)
-            grown[: self._size] = self._data[: self._size]
-            self._data = grown
-        self._data[self._size : needed] = values
-        self._size = needed
-
-    def trimmed(self) -> np.ndarray:
-        """The filled portion, shrunk to size (owns its memory)."""
-        out = self._data[: self._size]
-        if len(self._data) != self._size:
-            out = out.copy()
-            self._data = out
-        return out
-
-
 #: Column names and dtypes of one observation record, in storage order.
 OBSERVATION_COLUMNS: tuple[tuple[str, type], ...] = (
     ("day", np.int32),
@@ -89,22 +52,21 @@ OBSERVATION_COLUMNS: tuple[tuple[str, type], ...] = (
 class Observations:
     """Accumulated attack records of one observatory.
 
-    Records are appended per day batch into columnar numpy buffers and
-    finalised into flat arrays.  Finalised instances pickle cheaply and can
-    be concatenated with :meth:`merge` — the primitive the sharded executor
-    in :mod:`repro.util.parallel` uses to combine per-shard sinks.
+    Each ``observe()`` call appends one chunk of columns per shard; the
+    chunks are concatenated once, on first read, into flat arrays.
+    Finalised instances pickle cheaply and can be concatenated with
+    :meth:`merge` — the primitive the sharded executor in
+    :mod:`repro.util.parallel` uses to combine per-shard sinks.
     """
 
     def __init__(self, observatory: str) -> None:
         self.observatory = observatory
-        self._buffers: dict[str, _ColumnBuffer] | None = {
-            name: _ColumnBuffer(dtype) for name, dtype in OBSERVATION_COLUMNS
-        }
+        self._chunks: list[tuple[np.ndarray, ...]] | None = []
         self._final: dict[str, np.ndarray] | None = None
 
     def append(
         self,
-        day: int | np.ndarray,
+        day: np.ndarray,
         target: np.ndarray,
         attack_class: np.ndarray,
         vector_id: np.ndarray,
@@ -112,54 +74,51 @@ class Observations:
         bps: np.ndarray,
         duration: np.ndarray | None = None,
     ) -> None:
-        """Record detections (parallel arrays).
+        """Record detections (parallel arrays, one entry per record).
 
-        ``day`` is either one scalar study day (per-day batches) or a
-        per-record array (fused multi-day shard sweeps); per-record days
-        must be appended in non-decreasing order so downstream consumers
-        can rely on day-sortedness.  ``duration`` (seconds) is optional
-        for backwards compatibility with feeds that do not report it;
-        missing values become NaN.
+        Days must be appended in non-decreasing order so downstream
+        consumers can rely on day-sortedness.  ``duration`` (seconds) is
+        optional for feeds that do not report it; missing values become
+        NaN.
         """
         if self._final is not None:
             raise RuntimeError("observations already finalised")
         n = len(target)
         if not (
-            len(attack_class) == len(vector_id) == len(spoofed) == len(bps) == n
+            len(day)
+            == len(attack_class)
+            == len(vector_id)
+            == len(spoofed)
+            == len(bps)
+            == n
         ):
             raise ValueError("parallel arrays must have equal length")
         if duration is not None and len(duration) != n:
             raise ValueError("parallel arrays must have equal length")
-        days = np.asarray(day, dtype=np.int32)
-        if days.ndim == 0:
-            days = np.full(n, days, dtype=np.int32)
-        elif len(days) != n:
-            raise ValueError("parallel arrays must have equal length")
         if n == 0:
             return
-        buffers = self._buffers
-        assert buffers is not None
-        buffers["day"].extend(days)
-        buffers["target"].extend(np.asarray(target, dtype=np.int64))
-        buffers["attack_class"].extend(np.asarray(attack_class, dtype=np.int8))
-        buffers["vector_id"].extend(np.asarray(vector_id, dtype=np.int16))
-        buffers["spoofed"].extend(np.asarray(spoofed, dtype=bool))
-        buffers["bps"].extend(np.asarray(bps, dtype=np.float64))
-        buffers["duration"].extend(
-            np.asarray(duration, dtype=np.float64)
-            if duration is not None
-            else np.full(n, np.nan)
+        if duration is None:
+            duration = np.full(n, np.nan)
+        chunk = (day, target, attack_class, vector_id, spoofed, bps, duration)
+        self._chunks.append(
+            tuple(
+                np.asarray(values, dtype=dtype)
+                for values, (_, dtype) in zip(chunk, OBSERVATION_COLUMNS)
+            )
         )
 
     def _materialise(self) -> dict[str, np.ndarray]:
         if self._final is None:
-            buffers = self._buffers
-            assert buffers is not None
+            chunks = self._chunks
             self._final = {
-                name: buffers[name].trimmed()
-                for name, _ in OBSERVATION_COLUMNS
+                name: (
+                    np.concatenate([chunk[i] for chunk in chunks])
+                    if chunks
+                    else np.empty(0, dtype=dtype)
+                )
+                for i, (name, dtype) in enumerate(OBSERVATION_COLUMNS)
             }
-            self._buffers = None
+            self._chunks = None
         return self._final
 
     # -- construction ----------------------------------------------------------
@@ -181,7 +140,7 @@ class Observations:
                 raise ValueError(f"column {name} length mismatch")
             final[name] = column
         observations = cls(observatory)
-        observations._buffers = None
+        observations._chunks = None
         observations._final = final
         return observations
 
@@ -212,7 +171,7 @@ class Observations:
 
     def __setstate__(self, state: dict) -> None:
         self.observatory = state["observatory"]
-        self._buffers = None
+        self._chunks = None
         self._final = state["columns"]
 
     # -- accessors -------------------------------------------------------------
@@ -363,21 +322,12 @@ class Observatory(abc.ABC):
         return mask
 
     @abc.abstractmethod
-    def observe(self, batch, into: Observations) -> None:
-        """Process one ground-truth batch, appending detections.
+    def observe(self, batch: ShardBatch, into: Observations) -> None:
+        """Process one ground-truth shard, appending its detections once.
 
-        ``batch`` is any columnar batch shape — a per-day
-        :class:`~repro.attacks.events.DayBatch` or a multi-day
-        :class:`~repro.attacks.events.ShardBatch`; implementations read
-        ``batch.days`` and must never assume a single day.
+        ``batch`` is a multi-day :class:`~repro.attacks.events.ShardBatch`;
+        implementations read the per-event ``batch.days``.
         """
-
-    def run(self, batches) -> Observations:
-        """Convenience: run over an iterable of day batches."""
-        observations = Observations(self.name)
-        for batch in batches:
-            self.observe(batch, observations)
-        return observations
 
     def series_keys(self) -> list[SeriesKey]:
         """The time series this observatory contributes."""

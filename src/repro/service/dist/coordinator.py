@@ -388,16 +388,36 @@ class DistCoordinator:
 
         Idempotent per sweep id: a sweep already in flight keeps its one
         task — and its one ledger writer — whatever ``resume`` says.
+        Registering a new task first forgets every finished one, so a
+        long-lived daemon holds only the sweeps still in flight and the
+        ones that finished since the last submission.
         """
         with obs.span("service.dist.submit"), self._lock:
             existing = self._tasks.get(sweep_id(spec))
             if existing is not None and not existing.done:
                 return existing
+            self._drop_finished_tasks()
             task = SweepTask(spec, root=root, resume=resume)
             self._tasks[task.task_id] = task
             self._descriptors[task.task_id] = dict(descriptor)
             obs.gauge("service.dist.tasks").set(len(self._tasks))
             return task
+
+    def _drop_finished_tasks(self) -> None:
+        """Forget done or abandoned tasks that no live lease points at."""
+        self.tick()
+        leased = {lease.task for lease in self._leases.values()}
+        finished = {
+            task
+            for task in self._tasks.values()
+            if task.done and task not in leased
+        }
+        for task in finished:
+            del self._tasks[task.task_id]
+            del self._descriptors[task.task_id]
+        self._dispatched = {
+            pair for pair in self._dispatched if pair[0] not in finished
+        }
 
     def _wait(self, task: SweepTask) -> None:
         """One step of a leased run: expire what is due, await a merge."""

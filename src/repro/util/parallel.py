@@ -222,9 +222,8 @@ def run_shard(
         scenario=config.scenario,
     )
     observatories = _build_observatories(config, models.plan)
-    # Columnar hot path: synthesise the whole day range as one
-    # struct-of-arrays shard, then let every observatory sweep it in one
-    # vectorised pass instead of re-walking per-day batches.
+    # Synthesise the whole day range as one struct-of-arrays shard, then
+    # let every observatory sweep it in one vectorised pass.
     shard = generator.shard_batch()
     return observatories.run_shard(shard, config.calendar)
 

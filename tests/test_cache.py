@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import datetime as dt
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -209,6 +210,23 @@ class TestActivityStats:
         cache.stats_path.write_text("not json", encoding="utf-8")
         assert cache.stats()["hits"] == 0
         assert cache.hit_rate() is None
+
+    def test_concurrent_processes_lose_no_increment(self, tmp_path):
+        cache = StudyCache(tmp_path)
+
+        def bump():
+            for _ in range(25):
+                cache._record(hits=1)
+
+        context = multiprocessing.get_context("fork")
+        workers = [context.Process(target=bump) for _ in range(4)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+        assert not any(worker.is_alive() for worker in workers)
+        assert [worker.exitcode for worker in workers] == [0] * 4
+        assert cache.stats()["hits"] == 100
 
     def test_clear_resets_stats(self, tiny_config, tiny_result, tmp_path):
         cache = StudyCache(tmp_path)

@@ -42,13 +42,17 @@ class FakeClock:
         self.now += seconds
 
 
-def smoke_descriptor() -> dict:
+def preset_descriptor(name: str) -> dict:
     return {
         "spec_kind": "sweep-preset",
-        "preset": "smoke",
+        "preset": name,
         "strength": None,
-        "spec_fingerprint": spec_fingerprint(preset("smoke")),
+        "spec_fingerprint": spec_fingerprint(preset(name)),
     }
+
+
+def smoke_descriptor() -> dict:
+    return preset_descriptor("smoke")
 
 
 def make_coordinator(tmp_path, clock, **kwargs) -> DistCoordinator:
@@ -355,3 +359,52 @@ class TestResume:
         assert len(remaining) == 2
         final = second.task_status(task_id)
         assert final["done"] and final["executed"] == 2
+
+
+class TestRetention:
+    def run_to_completion(self, coordinator, worker_id="w1") -> None:
+        while (lease := coordinator.acquire(worker_id))["lease_id"] is not None:
+            coordinator.complete(
+                lease["lease_id"],
+                worker_id,
+                completion(worker_id, lease["cell"]["index"]),
+            )
+
+    def test_finished_task_is_dropped_when_the_next_opens(self, coordinator):
+        register(coordinator, "w1")
+        first = coordinator.submit(smoke_descriptor())
+        self.run_to_completion(coordinator)
+        assert coordinator.task_status(first)["done"]
+        second = coordinator.submit(preset_descriptor("seed0-small"))
+        assert [task["task_id"] for task in coordinator.status()["tasks"]] == [
+            second
+        ]
+        assert {task.task_id for task, _ in coordinator._dispatched} <= {second}
+        with pytest.raises(ProtocolError) as caught:
+            coordinator.task_status(first)
+        assert caught.value.code == "unknown-task"
+
+    def test_abandoned_task_is_dropped_when_the_next_opens(self, coordinator):
+        register(coordinator, "w1")
+        first = coordinator.submit(smoke_descriptor())
+        coordinator.acquire("w1")
+        coordinator.abandon(first)
+        second = coordinator.submit(preset_descriptor("seed0-small"))
+        assert [task["task_id"] for task in coordinator.status()["tasks"]] == [
+            second
+        ]
+        assert coordinator._dispatched == set()
+
+    def test_in_flight_task_is_kept(self, coordinator):
+        register(coordinator, "w1")
+        first = coordinator.submit(smoke_descriptor())
+        lease = coordinator.acquire("w1")
+        second = coordinator.submit(preset_descriptor("seed0-small"))
+        assert [task["task_id"] for task in coordinator.status()["tasks"]] == [
+            first,
+            second,
+        ]
+        coordinator.complete(
+            lease["lease_id"], "w1", completion("w1", lease["cell"]["index"])
+        )
+        assert coordinator.task_status(first)["n_done"] == 1

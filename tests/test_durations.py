@@ -15,7 +15,7 @@ def feed_with_durations(durations, bps=None):
     observations = Observations("X")
     n = len(durations)
     observations.append(
-        0,
+        np.zeros(n, dtype=np.int32),
         np.arange(n, dtype=np.int64),
         np.zeros(n, dtype=np.int8),
         np.full(n, 10, dtype=np.int16),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.attacks.campaigns import CampaignConfig, CampaignModel
-from repro.attacks.events import OBSERVATORY_KEYS, AttackClass
+from repro.attacks.events import OBSERVATORY_KEYS
 from repro.attacks.generator import (
     HP_BASE_SELECTION,
     GeneratorConfig,
@@ -37,120 +37,88 @@ def make_generator(seed=0, config=None, campaign_config=None):
 
 
 @pytest.fixture(scope="module")
-def batches():
-    return list(make_generator().batches())
+def shard():
+    return make_generator().shard_batch()
+
+
+def day_targets(shard, mask):
+    """Distinct (day, target) tuples of the masked events."""
+    return set(zip(shard.days[mask].tolist(), shard.target[mask].tolist()))
 
 
 class TestBatchStructure:
-    def test_one_batch_per_day(self, batches):
-        assert len(batches) == CALENDAR.n_days
-        assert [batch.day for batch in batches] == list(range(CALENDAR.n_days))
+    def test_days_in_range_and_non_decreasing(self, shard):
+        assert (shard.start_day, shard.stop_day) == (0, CALENDAR.n_days)
+        assert len(shard.days) == len(shard)
+        assert shard.days.min() >= 0 and shard.days.max() < CALENDAR.n_days
+        assert (np.diff(shard.days) >= 0).all()
 
-    def test_event_ids_are_unique_and_contiguous(self, batches):
-        next_expected = 0
-        for batch in batches:
-            assert batch.event_id_base == next_expected
-            next_expected += len(batch)
+    def test_starts_fall_within_day(self, shard):
+        day_start = shard.days * 86400.0
+        assert (shard.start >= day_start).all()
+        assert (shard.start < day_start + 86400.0).all()
 
-    def test_starts_fall_within_day(self, batches):
-        for batch in batches[:30]:
-            if len(batch) == 0:
-                continue
-            day_start = batch.day * 86400.0
-            assert (batch.start >= day_start).all()
-            assert (batch.start < day_start + 86400.0).all()
+    def test_durations_floored_at_minute(self, shard):
+        assert (shard.duration >= 60.0).all()
 
-    def test_durations_floored_at_minute(self, batches):
-        for batch in batches[:30]:
-            if len(batch):
-                assert (batch.duration >= 60.0).all()
+    def test_vector_ids_match_class(self, shard):
+        kinds = np.asarray([VECTORS[i].kind is VectorKind.DIRECT for i in shard.vector_id])
+        assert (kinds == shard.is_direct_path).all()
 
-    def test_vector_ids_match_class(self, batches):
-        for batch in batches[:30]:
-            for i in range(len(batch)):
-                vector = VECTORS[batch.vector_id[i]]
-                if batch.attack_class[i] == int(AttackClass.DIRECT_PATH):
-                    assert vector.kind is VectorKind.DIRECT
-                else:
-                    assert vector.kind is VectorKind.REFLECTION
+    def test_targets_have_origin_asns(self, shard):
+        assert (shard.origin_asn > 0).all()
 
-    def test_targets_have_origin_asns(self, batches):
-        for batch in batches[:10]:
-            if len(batch):
-                assert (batch.origin_asn > 0).all()
-
-    def test_bias_arrays_complete(self, batches):
-        batch = next(b for b in batches if len(b))
-        assert set(batch.bias) == set(OBSERVATORY_KEYS)
+    def test_bias_arrays_complete(self, shard):
+        assert set(shard.bias) == set(OBSERVATORY_KEYS)
+        assert all(len(column) == len(shard) for column in shard.bias.values())
 
 
 class TestSelectionMechanics:
-    def test_hp_selection_only_for_reflection(self, batches):
-        for batch in batches[:30]:
-            dp = batch.is_direct_path
-            assert (batch.hp_selected[dp] == 0).all()
+    def test_hp_selection_only_for_reflection(self, shard):
+        assert (shard.hp_selected[shard.is_direct_path] == 0).all()
 
-    def test_hp_selection_rates_roughly_match_base(self, batches):
-        selected = {"hopscotch": 0, "amppot": 0}
-        total = 0
-        for batch in batches:
-            ra = batch.is_reflection
-            total += int(ra.sum())
-            for platform in selected:
-                selected[platform] += int(batch.hp_selected_mask(platform)[ra].sum())
-        for platform, count in selected.items():
-            rate = count / total
+    def test_hp_selection_rates_roughly_match_base(self, shard):
+        ra = shard.is_reflection
+        total = int(ra.sum())
+        for platform in ("hopscotch", "amppot"):
+            rate = int(shard.hp_selected_mask(platform)[ra].sum()) / total
             # min(1, base*breadth) with E[breadth]=1 lands below base.
             assert 0.3 * HP_BASE_SELECTION[platform] < rate < HP_BASE_SELECTION[platform]
 
-    def test_newkid_selection_is_rare(self, batches):
-        newkid = hopscotch = 0
-        for batch in batches:
-            newkid += int(batch.hp_selected_mask("newkid").sum())
-            hopscotch += int(batch.hp_selected_mask("hopscotch").sum())
+    def test_newkid_selection_is_rare(self, shard):
+        newkid = int(shard.hp_selected_mask("newkid").sum())
+        hopscotch = int(shard.hp_selected_mask("hopscotch").sum())
         assert newkid < hopscotch / 5
 
-    def test_memcached_never_selects_amppot(self, batches):
+    def test_memcached_never_selects_amppot(self, shard):
         # AmpPot's affinity for Memcached is zero (it does not emulate it).
         from repro.attacks.vectors import vector_id
 
-        memcached = vector_id("Memcached")
-        for batch in batches:
-            mask = batch.vector_id == memcached
-            if mask.any():
-                assert ((batch.hp_selected[mask] & 0b10) == 0).all()
+        mask = shard.vector_id == vector_id("Memcached")
+        assert mask.any()
+        assert ((shard.hp_selected[mask] & 0b10) == 0).all()
 
-    def test_spoofed_applies_to_direct_path(self, batches):
-        spoofed_dp = total_dp = 0
-        for batch in batches:
-            dp = batch.is_direct_path
-            total_dp += int(dp.sum())
-            spoofed_dp += int(batch.spoofed[dp].sum())
-            # RA requests are always spoofed.
-            assert batch.spoofed[batch.is_reflection].all()
-        share = spoofed_dp / total_dp
+    def test_spoofed_applies_to_direct_path(self, shard):
+        dp = shard.is_direct_path
+        share = int(shard.spoofed[dp].sum()) / int(dp.sum())
         assert 0.45 < share < 0.75  # around the configured 0.62
+        # RA requests are always spoofed.
+        assert shard.spoofed[shard.is_reflection].all()
 
 
 class TestCrossTypePairing:
-    def test_paired_targets_attacked_by_both_classes(self, batches):
+    def test_paired_targets_attacked_by_both_classes(self, shard):
         # Some targets must appear under both attack classes on one day.
-        both = 0
-        for batch in batches:
-            dp_targets = set(batch.target[batch.is_direct_path].tolist())
-            ra_targets = set(batch.target[batch.is_reflection].tolist())
-            both += len(dp_targets & ra_targets)
-        assert both > 0
+        both = day_targets(shard, shard.is_direct_path) & day_targets(
+            shard, shard.is_reflection
+        )
+        assert both
 
     def test_pairing_probability_drives_collisions(self):
         def same_day_collisions(config):
-            generator = make_generator(config=config)
-            both = 0
-            for batch in generator.batches():
-                dp_targets = set(batch.target[batch.is_direct_path].tolist())
-                ra_targets = set(batch.target[batch.is_reflection].tolist())
-                both += len(dp_targets & ra_targets)
-            return both
+            shard = make_generator(config=config).shard_batch()
+            dp = day_targets(shard, shard.is_direct_path)
+            return len(dp & day_targets(shard, shard.is_reflection))
 
         # Recurrence off isolates pairing from victim-pool collisions.
         off = same_day_collisions(
@@ -166,55 +134,42 @@ class TestCrossTypePairing:
 
 
 class TestRecurrence:
-    def test_targets_recur_across_days(self, batches):
-        tuples = set()
-        ips = set()
-        for batch in batches:
-            for day, ip in zip([batch.day] * len(batch), batch.target.tolist()):
-                tuples.add((day, ip))
-                ips.add(ip)
-        assert len(tuples) / len(ips) > 1.2
+    def test_targets_recur_across_days(self, shard):
+        tuples = day_targets(shard, np.ones(len(shard), dtype=bool))
+        assert len(tuples) / len(set(shard.target.tolist())) > 1.2
 
     def test_no_recurrence_without_pool(self):
         config = GeneratorConfig(recurrence_probability=0.0)
-        generator = make_generator(config=config)
-        tuples = set()
-        ips = set()
-        for batch in generator.batches():
-            tuples.update((batch.day, ip) for ip in batch.target.tolist())
-            ips.update(batch.target.tolist())
-        assert len(tuples) / len(ips) < 1.1
+        shard = make_generator(config=config).shard_batch()
+        tuples = day_targets(shard, np.ones(len(shard), dtype=bool))
+        assert len(tuples) / len(set(shard.target.tolist())) < 1.1
 
 
 class TestDeterminism:
     def test_same_seed_same_output(self):
-        a = list(make_generator(seed=3).batches())
-        b = list(make_generator(seed=3).batches())
-        assert sum(len(x) for x in a) == sum(len(x) for x in b)
-        for batch_a, batch_b in zip(a, b):
-            assert np.array_equal(batch_a.target, batch_b.target)
-            assert np.array_equal(batch_a.pps, batch_b.pps)
+        a = make_generator(seed=3).shard_batch()
+        b = make_generator(seed=3).shard_batch()
+        assert len(a) == len(b)
+        for column in ("days", "target", "pps", "vector_id", "hp_selected"):
+            assert np.array_equal(getattr(a, column), getattr(b, column))
 
     def test_different_seed_different_output(self):
-        a = list(make_generator(seed=3).batches())
-        b = list(make_generator(seed=4).batches())
-        assert sum(len(x) for x in a) != sum(len(x) for x in b) or any(
-            not np.array_equal(x.target, y.target) for x, y in zip(a, b) if len(x) == len(y)
-        )
+        a = make_generator(seed=3).shard_batch()
+        b = make_generator(seed=4).shard_batch()
+        assert len(a) != len(b) or not np.array_equal(a.target, b.target)
 
 
 class TestCampaignEffects:
     def test_campaigns_add_events(self):
         quiet = make_generator(campaign_config=CampaignConfig(spawn_rate_per_week=0.0))
         busy = make_generator(campaign_config=CampaignConfig(spawn_rate_per_week=3.0))
-        quiet_total = sum(len(b) for b in quiet.batches())
-        busy_total = sum(len(b) for b in busy.batches())
-        assert busy_total > quiet_total * 1.2
+        assert len(busy.shard_batch()) > len(quiet.shard_batch()) * 1.2
 
     def test_telescope_avoidance_zeroes_bias(self):
         config = GeneratorConfig(telescope_avoidance_probability=1.0)
-        generator = make_generator(config=config)
-        batch = next(b for b in generator.batches() if len(b))
-        assert (batch.bias["ucsd"] == 0).all()
-        assert (batch.bias["orion"] == 0).all()
-        assert (batch.bias["netscout"] > 0).all()
+        shard = make_generator(config=config).shard_batch()
+        assert len(shard)
+        assert (shard.bias["ucsd"] == 0).all()
+        assert (shard.bias["orion"] == 0).all()
+        assert (shard.bias["netscout"] > 0).all()
+

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.attacks.events import OBSERVATORY_KEYS, AttackClass, DayBatch
+from repro.attacks.events import OBSERVATORY_KEYS, AttackClass, ShardBatch
 from repro.attacks.vectors import vector_id
 from repro.net.rir import RirRegistry
 from repro.net.addr import parse_prefix
@@ -40,8 +40,10 @@ def batch(
 ):
     vec = vector_id(vector)
     packet_bps = bps if bps is not None else pps * 512 * 8
-    return DayBatch(
+    return ShardBatch(
         day,
+        day + 1,
+        days=np.full(n, day, dtype=np.int32),
         attack_class=np.full(n, int(attack_class), dtype=np.int8),
         target=(
             np.asarray(targets, dtype=np.int64)
@@ -63,9 +65,9 @@ def batch(
     )
 
 
-def run(observatory, day_batch):
+def run(observatory, shard):
     observations = Observations(observatory.name)
-    observatory.observe(day_batch, observations)
+    observatory.observe(shard, observations)
     return observations
 
 

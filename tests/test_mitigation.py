@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.attacks.events import OBSERVATORY_KEYS, DayBatch
+from repro.attacks.events import OBSERVATORY_KEYS, ShardBatch
 from repro.net.plan import UCSD_TELESCOPE_PREFIXES
 from repro.observatories.base import Observations
 from repro.observatories.mitigation import MitigationInterference
@@ -13,8 +13,10 @@ from repro.util.rng import RngFactory
 
 def batch_on(targets, asns, duration=600.0, pps=50_000.0):
     n = len(targets)
-    return DayBatch(
+    return ShardBatch(
         0,
+        1,
+        days=np.zeros(n, dtype=np.int32),
         attack_class=np.zeros(n, dtype=np.int8),
         target=np.asarray(targets, dtype=np.int64),
         origin_asn=np.asarray(asns, dtype=np.int64),

@@ -227,7 +227,7 @@ class TestObservationsLifecycle:
         observations.day  # forces materialisation
         with _pytest.raises(RuntimeError):
             observations.append(
-                0,
+                np.zeros(1, dtype=np.int32),
                 np.asarray([1], dtype=np.int64),
                 np.asarray([0], dtype=np.int8),
                 np.asarray([10], dtype=np.int16),

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.attacks.events import OBSERVATORY_KEYS, DayBatch
+from repro.attacks.events import OBSERVATORY_KEYS, ShardBatch
 from repro.net.plan import ORION_TELESCOPE_PREFIX, UCSD_TELESCOPE_PREFIXES
 from repro.observatories.base import Observations, VisibilityNoise
 from repro.observatories.telescope import NetworkTelescope, TelescopeConfig
@@ -23,8 +23,10 @@ def make_telescope(name="ucsd", response_ratio=1.0, noise=None):
 
 
 def rsdos_batch(n, pps, duration=600.0, spoofed=True, bias=1.0, day=0):
-    return DayBatch(
+    return ShardBatch(
         day,
+        day + 1,
+        days=np.full(n, day, dtype=np.int32),
         attack_class=np.zeros(n, dtype=np.int8),
         target=np.arange(n, dtype=np.int64) + 10_000,
         origin_asn=np.full(n, 64500, dtype=np.int64),

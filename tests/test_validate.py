@@ -14,28 +14,15 @@ def feed(days, vectors=None, classes=None, bps=None, spoofed=None, name="X"):
     n = len(days)
     observations = Observations(name)
     observations.append(
-        0,  # unused; we append per batch below instead
-        np.empty(0, dtype=np.int64),
-        np.empty(0, dtype=np.int8),
-        np.empty(0, dtype=np.int16),
-        np.empty(0, dtype=bool),
-        np.empty(0, dtype=np.float64),
+        np.asarray(days, dtype=np.int32),
+        np.arange(n, dtype=np.int64) + 1000,
+        np.asarray(
+            classes if classes else [int(AttackClass.DIRECT_PATH)] * n, dtype=np.int8
+        ),
+        np.asarray(vectors if vectors else [vector_id("SYN-flood")] * n, dtype=np.int16),
+        np.asarray(spoofed if spoofed else [True] * n, dtype=bool),
+        np.asarray(bps if bps else [1e8] * n, dtype=np.float64),
     )
-    for i, day in enumerate(days):
-        observations.append(
-            day,
-            np.asarray([1000 + i], dtype=np.int64),
-            np.asarray(
-                [classes[i] if classes else int(AttackClass.DIRECT_PATH)],
-                dtype=np.int8,
-            ),
-            np.asarray(
-                [vectors[i] if vectors else vector_id("SYN-flood")],
-                dtype=np.int16,
-            ),
-            np.asarray([spoofed[i] if spoofed else True]),
-            np.asarray([bps[i] if bps else 1e8]),
-        )
     return observations
 
 
@@ -90,7 +77,7 @@ class TestValidation:
         observations = Observations("dupes")
         for _ in range(4):
             observations.append(
-                0,
+                np.zeros(1, dtype=np.int32),
                 np.asarray([1234], dtype=np.int64),
                 np.asarray([int(AttackClass.DIRECT_PATH)], dtype=np.int8),
                 np.asarray([vector_id("SYN-flood")], dtype=np.int16),
@@ -114,7 +101,7 @@ class TestValidation:
         observations = Observations("doubled-export")
         for _ in range(10):
             observations.append(
-                3,
+                np.full(1, 3, dtype=np.int32),
                 np.asarray([7777], dtype=np.int64),
                 np.asarray([int(AttackClass.DIRECT_PATH)], dtype=np.int8),
                 np.asarray([vector_id("SYN-flood")], dtype=np.int16),

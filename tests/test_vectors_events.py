@@ -1,4 +1,4 @@
-"""Tests for the vector catalogue and attack-event model."""
+"""Tests for the vector catalogue and the columnar attack batch."""
 
 import numpy as np
 import pytest
@@ -7,8 +7,7 @@ from repro.attacks.events import (
     HP_BIT,
     OBSERVATORY_KEYS,
     AttackClass,
-    AttackEvent,
-    DayBatch,
+    ShardBatch,
 )
 from repro.attacks.vectors import (
     DP_VECTORS,
@@ -70,85 +69,8 @@ class TestVectorCatalogue:
         assert vector_by_name("SLP").port == 427
 
 
-def _batch(n=3, day=5):
-    bias = {key: np.ones(n) for key in OBSERVATORY_KEYS}
-    return DayBatch(
-        day,
-        attack_class=np.asarray([0, 1, 1], dtype=np.int8)[:n],
-        target=np.arange(n, dtype=np.int64) + 100,
-        origin_asn=np.full(n, 64500, dtype=np.int64),
-        start=np.full(n, day * 86400.0) + np.arange(n),
-        duration=np.full(n, 120.0),
-        pps=np.full(n, 1000.0),
-        bps=np.full(n, 1e6),
-        vector_id=np.asarray([10, 0, 1], dtype=np.int16)[:n],
-        secondary_vector_id=np.full(n, -1, dtype=np.int16),
-        carpet=np.zeros(n, dtype=bool),
-        carpet_prefix_len=np.zeros(n, dtype=np.int8),
-        spoofed=np.asarray([True, True, True])[:n],
-        hp_selected=np.asarray([0, 1, 2], dtype=np.uint8)[:n],
-        bias=bias,
-    )
-
-
-class TestDayBatch:
-    def test_masks(self):
-        batch = _batch()
-        assert batch.is_direct_path.tolist() == [True, False, False]
-        assert batch.is_reflection.tolist() == [False, True, True]
-        assert batch.is_rsdos.tolist() == [True, False, False]
-
-    def test_hp_selected_mask(self):
-        batch = _batch()
-        assert batch.hp_selected_mask("hopscotch").tolist() == [False, True, False]
-        assert batch.hp_selected_mask("amppot").tolist() == [False, False, True]
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            DayBatch(
-                0,
-                attack_class=np.zeros(2, dtype=np.int8),
-                target=np.zeros(3, dtype=np.int64),
-                origin_asn=np.zeros(3, dtype=np.int64),
-                start=np.zeros(3),
-                duration=np.zeros(3),
-                pps=np.zeros(3),
-                bps=np.zeros(3),
-                vector_id=np.zeros(3, dtype=np.int16),
-                secondary_vector_id=np.zeros(3, dtype=np.int16),
-                carpet=np.zeros(3, dtype=bool),
-                carpet_prefix_len=np.zeros(3, dtype=np.int8),
-                spoofed=np.zeros(3, dtype=bool),
-                hp_selected=np.zeros(3, dtype=np.uint8),
-                bias={key: np.ones(3) for key in OBSERVATORY_KEYS},
-            )
-
-    def test_missing_bias_rejected(self):
-        with pytest.raises(ValueError):
-            _batch_with_partial_bias()
-
-    def test_event_materialisation(self):
-        batch = _batch()
-        event = batch.event(1)
-        assert isinstance(event, AttackEvent)
-        assert event.attack_class is AttackClass.REFLECTION_AMPLIFICATION
-        assert event.target == 101
-        assert event.hp_is_selected("hopscotch")
-        assert not event.hp_is_selected("amppot")
-        assert event.day == 5
-
-    def test_events_iteration(self):
-        batch = _batch()
-        events = list(batch.events())
-        assert len(events) == len(batch) == 3
-        assert [e.event_id for e in events] == [0, 1, 2]
-
-
-def _batch_with_partial_bias():
-    n = 1
-    bias = {key: np.ones(n) for key in OBSERVATORY_KEYS if key != "ucsd"}
-    return DayBatch(
-        0,
+def _columns(n):
+    return dict(
         attack_class=np.zeros(n, dtype=np.int8),
         target=np.zeros(n, dtype=np.int64),
         origin_asn=np.zeros(n, dtype=np.int64),
@@ -162,22 +84,68 @@ def _batch_with_partial_bias():
         carpet_prefix_len=np.zeros(n, dtype=np.int8),
         spoofed=np.zeros(n, dtype=bool),
         hp_selected=np.zeros(n, dtype=np.uint8),
-        bias=bias,
     )
 
 
-class TestAttackEvent:
-    def test_vectors_property(self):
+def _batch(n=3, day=5):
+    columns = _columns(n)
+    columns.update(
+        attack_class=np.asarray([0, 1, 1], dtype=np.int8)[:n],
+        target=np.arange(n, dtype=np.int64) + 100,
+        spoofed=np.asarray([True, True, True])[:n],
+        hp_selected=np.asarray([0, 1, 2], dtype=np.uint8)[:n],
+    )
+    return ShardBatch(
+        day,
+        day + 1,
+        days=np.full(n, day, dtype=np.int32),
+        bias={key: np.ones(n) for key in OBSERVATORY_KEYS},
+        **columns,
+    )
+
+
+class TestShardBatch:
+    def test_masks(self):
         batch = _batch()
-        event = batch.event(0)
-        assert len(event.vectors) == 1
-        assert event.vector.name == VECTORS[10].name
+        assert batch.is_direct_path.tolist() == [True, False, False]
+        assert batch.is_reflection.tolist() == [False, True, True]
+        assert batch.is_rsdos.tolist() == [True, False, False]
 
-    def test_end_and_day(self):
-        event = _batch().event(0)
-        assert event.end == event.start + event.duration
-        assert event.day == int(event.start // 86400)
+    def test_hp_selected_mask(self):
+        batch = _batch()
+        assert batch.hp_selected_mask("hopscotch").tolist() == [False, True, False]
+        assert batch.hp_selected_mask("amppot").tolist() == [False, False, True]
 
+    def test_length_mismatch_rejected(self):
+        columns = _columns(3)
+        columns["attack_class"] = np.zeros(2, dtype=np.int8)
+        with pytest.raises(ValueError):
+            ShardBatch(
+                0,
+                1,
+                days=np.zeros(3, dtype=np.int32),
+                bias={key: np.ones(3) for key in OBSERVATORY_KEYS},
+                **columns,
+            )
+
+    def test_missing_bias_rejected(self):
+        bias = {key: np.ones(1) for key in OBSERVATORY_KEYS if key != "ucsd"}
+        with pytest.raises(ValueError):
+            ShardBatch(0, 1, days=np.zeros(1, dtype=np.int32), bias=bias, **_columns(1))
+
+    def test_unexpected_column_rejected(self):
+        with pytest.raises(ValueError):
+            ShardBatch(
+                0,
+                1,
+                days=np.zeros(1, dtype=np.int32),
+                bias={key: np.ones(1) for key in OBSERVATORY_KEYS},
+                tag=np.zeros(1, dtype=np.int64),
+                **_columns(1),
+            )
+
+
+class TestAttackClass:
     def test_hp_bit_layout(self):
         assert HP_BIT == {"hopscotch": 0, "amppot": 1, "newkid": 2}
 
